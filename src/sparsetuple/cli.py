@@ -16,7 +16,7 @@ import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -74,28 +74,10 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--dual-rate", type=float, default=defaults.dual_rate)
     parser.add_argument("--dual-steps", type=int, default=defaults.dual_steps)
     parser.add_argument("--encode-iters", type=int, default=defaults.encode_iters)
-    parser.add_argument("--tie-policy", default=defaults.tie_policy,
-                        choices=("single", "average"))
 
 
 def _config_from_args(args: argparse.Namespace) -> TrainConfig:
-    return TrainConfig(
-        c1=args.c1,
-        c2=args.c2,
-        c3=args.c3,
-        eta=args.eta,
-        eta_backoff=args.eta_backoff,
-        iters=args.iters,
-        dict_size=args.dict_size,
-        norm_cap=args.norm_cap,
-        eps=args.eps,
-        measure=MeasureKind.parse(args.measure),
-        seed=args.seed,
-        dual_rate=args.dual_rate,
-        dual_steps=args.dual_steps,
-        encode_iters=args.encode_iters,
-        tie_policy=args.tie_policy,
-    )
+    return TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -334,7 +316,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                         stratified=args.stratified, jobs=args.jobs,
                         include_timing=False,
                     )
-                except Exception:
+                except Exception as exc:
+                    print(f"error: c1={c1!r} c2={c2!r} c3={c3!r}: "
+                          f"{type(exc).__name__}: {exc}", file=sys.stderr)
                     writer.writerow((repr(c1), repr(c2), repr(c3), "", "", "", "failed"))
                     continue
                 medians = []

@@ -31,21 +31,17 @@ from .measures import (
     MeasureKind,
     as_label_array,
     loss_grid,
-    tuple_loss,
 )
 
 __all__ = [
     "ArgmaxResult",
     "point_scores",
-    "joint_score",
     "predict",
-    "F_value",
     "argmax_F_bruteforce",
     "argmax_F_oracle",
     "upper_bound",
     "flip_coefficients",
     "loss_gradient_w",
-    "loss_gradient_s",
 ]
 
 BRUTEFORCE_MAX_POINTS = 20
@@ -84,15 +80,6 @@ def point_scores(w, codes) -> np.ndarray:
     return w @ arr
 
 
-def joint_score(w, codes, labels) -> float:
-    """Joint score ``sum_i y'_i (w . s_i)`` of a candidate label tuple."""
-    q = point_scores(w, codes)
-    y = as_label_array(labels)
-    if y.size != q.size:
-        raise ValueError(f"dimension mismatch: {q.size} points vs {y.size} labels")
-    return float(q @ y)
-
-
 def predict(w, codes) -> np.ndarray:
     """Label tuple with the largest joint score.
 
@@ -101,17 +88,6 @@ def predict(w, codes) -> np.ndarray:
     """
     q = point_scores(w, codes)
     return np.where(q >= 0.0, 1, -1).astype(np.int64)
-
-
-def F_value(w, codes, y_true, y_cand, kind: MeasureKind) -> float:
-    """Mismatch-weighted score plus tuple loss of one candidate tuple."""
-    q = point_scores(w, codes)
-    y = as_label_array(y_true)
-    cand = as_label_array(y_cand)
-    if y.size != q.size or cand.size != q.size:
-        raise ValueError("dimension mismatch between codes and label tuples")
-    linear = float((cand - y) @ q)
-    return linear + tuple_loss(kind, y, cand)
 
 
 def _all_label_tuples(n: int) -> np.ndarray:
@@ -234,11 +210,7 @@ def argmax_F_oracle(w, codes, y_true, kind: MeasureKind) -> ArgmaxResult:
 
 
 def upper_bound(w, codes, y_true, kind: MeasureKind) -> float:
-    """Upper bound of the tuple loss of :func:`predict` at these variables.
-
-    Defined as the tie-set average of F over the maximizers, which equals
-    the maximum itself since every member of the tie set attains it.
-    """
+    """Upper bound of the tuple loss of :func:`predict`: the maximum of F."""
     return argmax_F_oracle(w, codes, y_true, kind).max_value
 
 
@@ -258,19 +230,13 @@ def flip_coefficients(y_true, maximizers, c3: float) -> np.ndarray:
     return (c3 / stacked.shape[0]) * (stacked - y[None, :]).sum(axis=0).astype(np.float64)
 
 
-def loss_gradient_w(w, codes, y_true, maximizers, c2: float, c3: float) -> np.ndarray:
-    """Gradient in ``w`` of the complexity term plus frozen-tie-set bound."""
+def loss_gradient_w(w, codes, coefficients, c2: float) -> np.ndarray:
+    """Gradient in ``w`` of the complexity term plus the frozen-tie-set bound.
+
+    ``coefficients`` are the :func:`flip_coefficients` of the frozen tie set.
+    """
     w = np.asarray(w, dtype=np.float64)
     arr = _as_codes(codes)
     if w.shape != (arr.shape[0],):
         raise ValueError(f"dimension mismatch: w {w.shape} vs codes {arr.shape}")
-    return c2 * w + arr @ flip_coefficients(y_true, maximizers, c3)
-
-
-def loss_gradient_s(i: int, w, y_true, maximizers, c3: float) -> np.ndarray:
-    """Loss-term gradient for code i, fed to the coding gradient as-is."""
-    y = as_label_array(y_true)
-    if not 0 <= i < y.size:
-        raise IndexError(f"point index {i} out of range for n={y.size}")
-    coefficients = flip_coefficients(y_true, maximizers, c3)
-    return coefficients[i] * np.asarray(w, dtype=np.float64)
+    return c2 * w + arr @ coefficients

@@ -19,14 +19,10 @@ import numpy as np
 __all__ = [
     "Dictionary",
     "SingularGramError",
-    "reconstruction_error",
     "smoothing_weights",
-    "code_gradient",
     "code_gradient_batch",
-    "code_step",
     "solve_dictionary",
     "lagrangian_gradient",
-    "dual_value",
     "dual_ascent_alphas",
 ]
 
@@ -64,19 +60,6 @@ class Dictionary:
         return self.elements.shape[1]
 
 
-def reconstruction_error(elements: np.ndarray, x: np.ndarray, s: np.ndarray) -> float:
-    """Squared l2 error of reconstructing ``x`` as ``elements @ s``."""
-    elements = np.asarray(elements, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    s = np.asarray(s, dtype=np.float64)
-    if elements.ndim != 2 or x.shape != (elements.shape[0],) or s.shape != (elements.shape[1],):
-        raise ValueError(
-            f"dimension mismatch: elements {elements.shape}, x {x.shape}, s {s.shape}"
-        )
-    residual = x - elements @ s
-    return float(residual @ residual)
-
-
 def smoothing_weights(s_prev: np.ndarray, eps: float) -> np.ndarray:
     """Reweighting diagonal ``u_j = 1 / max(|s_prev_j|, eps)``."""
     if eps <= 0:
@@ -84,45 +67,18 @@ def smoothing_weights(s_prev: np.ndarray, eps: float) -> np.ndarray:
     return 1.0 / np.maximum(np.abs(np.asarray(s_prev, dtype=np.float64)), eps)
 
 
-def code_gradient(
-    elements: np.ndarray,
-    x: np.ndarray,
-    s: np.ndarray,
-    weights: np.ndarray,
-    c1: float,
-    loss_term: np.ndarray,
-) -> np.ndarray:
-    """Gradient of the smoothed coding objective at ``s``.
-
-    The objective is ``||x - D s||^2 + c1 * s' diag(weights) s + loss_term' s``
-    with ``weights`` and ``loss_term`` held fixed.  Note the reconstruction
-    part contributes ``-2 D' (x - D s)``; a plus sign there would ascend the
-    reconstruction error.
-    """
-    elements = np.asarray(elements, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    s = np.asarray(s, dtype=np.float64)
-    if elements.ndim != 2 or x.shape != (elements.shape[0],) or s.shape != (elements.shape[1],):
-        raise ValueError(
-            f"dimension mismatch: elements {elements.shape}, x {x.shape}, s {s.shape}"
-        )
-    return -2.0 * elements.T @ (x - elements @ s) + 2.0 * c1 * weights * s + loss_term
-
-
 def code_gradient_batch(elements, X, S, weights, c1, loss_terms) -> np.ndarray:
-    """Column-wise :func:`code_gradient` for all points at once.
+    """Gradient of the smoothed coding objective at every code column.
 
-    ``X`` is d-by-n, ``S`` and ``weights`` and ``loss_terms`` are m-by-n
-    (``loss_terms`` may be a scalar 0 when the label-loss term is absent).
+    Column i is the gradient at ``s_i`` of
+    ``||x_i - D s_i||^2 + c1 * s_i' diag(u_i) s_i + l_i' s_i`` with the
+    reweighting ``u_i`` (column i of ``weights``) and the loss term ``l_i``
+    held fixed.  ``X`` is d-by-n, ``S`` and ``weights`` and ``loss_terms``
+    are m-by-n (``loss_terms`` may be a scalar 0 when the label-loss term is
+    absent).  Note the reconstruction part contributes ``-2 D' (x - D s)``;
+    a plus sign there would ascend the reconstruction error.
     """
     return -2.0 * elements.T @ (X - elements @ S) + 2.0 * c1 * weights * S + loss_terms
-
-
-def code_step(s_prev: np.ndarray, grad: np.ndarray, eta: float) -> np.ndarray:
-    """One gradient-descent step on a code vector."""
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    return np.asarray(s_prev, dtype=np.float64) - eta * np.asarray(grad, dtype=np.float64)
 
 
 def solve_dictionary(X: np.ndarray, S: np.ndarray, alphas: np.ndarray) -> np.ndarray:
@@ -158,15 +114,6 @@ def lagrangian_gradient(X, S, alphas, elements) -> np.ndarray:
     return -2.0 * (X - elements @ S) @ S.T + 2.0 * elements * alphas[None, :]
 
 
-def dual_value(X, S, alphas, norm_cap: float) -> float:
-    """Value of the dictionary dual objective at the given multipliers."""
-    elements = solve_dictionary(X, S, alphas)
-    residual = X - elements @ S
-    column_sq = np.sum(elements * elements, axis=0)
-    alphas = np.asarray(alphas, dtype=np.float64)
-    return float(np.sum(residual * residual) + np.sum(alphas * (column_sq - norm_cap)))
-
-
 def dual_ascent_alphas(
     X,
     S,
@@ -193,21 +140,15 @@ def dual_ascent_alphas(
         raise ValueError("initial multipliers must be nonnegative")
     best_alphas = alphas.copy()
     best_violation = np.inf
-    for _ in range(steps):
+    for step in range(steps + 1):
         elements = solve_dictionary(X, S, alphas)
         grad = np.sum(elements * elements, axis=0) - norm_cap
         violation = float(np.maximum(grad, 0.0).max())
+        if violation <= tol:
+            return alphas, True
         if violation < best_violation:
             best_violation = violation
             best_alphas = alphas.copy()
-        if violation <= tol:
-            return alphas, True
-        alphas = np.maximum(0.0, alphas + rate * grad)
-    elements = solve_dictionary(X, S, alphas)
-    grad = np.sum(elements * elements, axis=0) - norm_cap
-    violation = float(np.maximum(grad, 0.0).max())
-    if violation <= tol:
-        return alphas, True
-    if violation < best_violation:
-        return alphas, False
+        if step < steps:
+            alphas = np.maximum(0.0, alphas + rate * grad)
     return best_alphas, False

@@ -4,13 +4,14 @@ One outer iteration updates, in order: the dictionary (closed form), every
 code (one gradient step each), the predictor weights (one gradient step),
 and the constraint multipliers (projected dual ascent).  The maximizer tie
 set that drives the loss gradients is recomputed once per iteration from the
-previous iterate's codes and weights and held fixed inside the iteration.
+previous iterate's codes and weights and held fixed inside the iteration;
+the search that scores the end of one iteration supplies it to the next.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -32,11 +33,9 @@ __all__ = [
     "load_model",
 ]
 
-MODEL_SCHEMA_VERSION = 1
+MODEL_SCHEMA_VERSION = 2
 ALPHA_INIT = 1e-3
 WEIGHT_INIT_SCALE = 0.01
-
-TIE_POLICIES = ("single", "average")
 
 
 class NumericalDivergenceError(RuntimeError):
@@ -56,9 +55,6 @@ class TrainConfig:
     """All knobs of a training run.
 
     ``dict_size=None`` resolves to ``min(2 * d, n)`` when fitting.
-    ``tie_policy`` selects how argmax ties feed the gradients: ``single``
-    uses one deterministic maximizer from the fast oracle, ``average``
-    averages over the full tie set from brute-force search (small n only).
     ``eta_backoff`` keeps the plain fixed-step rule off by default; when on,
     a step that increases the objective is retried with a halved step size.
     """
@@ -77,7 +73,6 @@ class TrainConfig:
     dual_rate: float = 0.1
     dual_steps: int = 50
     encode_iters: int = 100
-    tie_policy: str = "single"
 
     def __post_init__(self):
         if isinstance(self.measure, str):
@@ -98,8 +93,6 @@ class TrainConfig:
             raise ValueError("dual_rate must be positive and dual_steps >= 1")
         if self.encode_iters < 0:
             raise ValueError("encode_iters must be >= 0")
-        if self.tie_policy not in TIE_POLICIES:
-            raise ValueError(f"tie_policy must be one of {TIE_POLICIES}")
 
     def resolved_dict_size(self, n: int, d: int) -> int:
         return self.dict_size if self.dict_size is not None else min(2 * d, n)
@@ -194,28 +187,24 @@ def _codes_blown(codes: np.ndarray, X: np.ndarray) -> bool:
     return bool(np.abs(codes).max() > 1e6 * (1.0 + np.abs(X).max()))
 
 
-def _argmax(w, codes, labels, config: TrainConfig) -> hyperloss.ArgmaxResult:
-    if config.tie_policy == "average":
-        return hyperloss.argmax_F_bruteforce(w, codes, labels, config.measure)
-    return hyperloss.argmax_F_oracle(w, codes, labels, config.measure)
-
-
 _MAX_BACKOFF_HALVINGS = 50
 
 
-def _objective_entry(X, elements, codes, weights, labels, config: TrainConfig) -> TraceEntry:
+def _objective_entry(X, elements, codes, weights, labels, config: TrainConfig):
+    """Objective components at these variables, and the argmax behind the bound."""
     residual = X - elements @ codes
     reconstruction = float(np.sum(residual * residual))
     sparsity = float(np.abs(codes).sum())
     complexity = 0.5 * float(weights @ weights)
-    surrogate = hyperloss.upper_bound(weights, codes, labels, config.measure)
+    result = hyperloss.argmax_F_oracle(weights, codes, labels, config.measure)
+    surrogate = result.max_value
     objective = (
         reconstruction
         + config.c1 * sparsity
         + config.c2 * complexity
         + config.c3 * surrogate
     )
-    return TraceEntry(reconstruction, sparsity, complexity, surrogate, objective)
+    return TraceEntry(reconstruction, sparsity, complexity, surrogate, objective), result
 
 
 def fit(data: Dataset, config: TrainConfig, observer=None) -> Model:
@@ -244,6 +233,7 @@ def fit(data: Dataset, config: TrainConfig, observer=None) -> Model:
     halvings = 0
     previous_objective = np.inf
     trace: list[TraceEntry] = []
+    result = hyperloss.argmax_F_oracle(weights, codes, y, config.measure)
     for iteration in range(config.iters):
         try:
             elements = sparse_coding.solve_dictionary(X, codes, alphas)
@@ -254,19 +244,20 @@ def fit(data: Dataset, config: TrainConfig, observer=None) -> Model:
         if observer is not None:
             observer("dictionary", iteration)
 
-        # Tie set from the previous iterate's codes and weights, frozen for
-        # the rest of this iteration.
-        result = _argmax(weights, codes, y, config)
+        # Tie set from the previous iterate's codes and weights (found when
+        # that iterate was scored), frozen for the rest of this iteration.
         coefficients = hyperloss.flip_coefficients(y, result.maximizers, config.c3)
 
-        reweights = 1.0 / np.maximum(np.abs(codes), config.eps)
+        reweights = sparse_coding.smoothing_weights(codes, config.eps)
         grads = sparse_coding.code_gradient_batch(
             elements, X, codes, reweights, config.c1, np.outer(weights, coefficients)
         )
         while True:
             new_codes = codes - eta * grads
-            new_weights = weights - eta * (config.c2 * weights + new_codes @ coefficients)
-            entry = _objective_entry(X, elements, new_codes, new_weights, y, config)
+            new_weights = weights - eta * hyperloss.loss_gradient_w(
+                weights, new_codes, coefficients, config.c2
+            )
+            entry, result = _objective_entry(X, elements, new_codes, new_weights, y, config)
             accept = (
                 not config.eta_backoff
                 or entry.objective <= previous_objective
@@ -319,7 +310,7 @@ def encode(dictionary: Dictionary, features, config: TrainConfig) -> np.ndarray:
     elements = dictionary.elements
     codes = ridge_codes(elements, Xt, config.c1)
     for _ in range(config.encode_iters):
-        reweights = 1.0 / np.maximum(np.abs(codes), config.eps)
+        reweights = sparse_coding.smoothing_weights(codes, config.eps)
         grads = sparse_coding.code_gradient_batch(elements, Xt, codes, reweights, config.c1, 0.0)
         codes = codes - config.eta * grads
     return codes
@@ -342,9 +333,6 @@ def save_model(model: Model) -> bytes:
     document = {
         "schema_version": MODEL_SCHEMA_VERSION,
         "d": int(dictionary.d),
-        "m": int(dictionary.m),
-        "c": float(dictionary.norm_cap),
-        "measure": model.config.measure.value,
         "config": config_document(model.config),
         "dictionary": [float(v) for v in dictionary.elements.ravel(order="C")],
         "weights": [float(v) for v in model.weights],
@@ -364,10 +352,16 @@ def save_model(model: Model) -> bytes:
 
 
 _TRACE_KEYS = ("reconstruction", "sparsity", "complexity", "surrogate", "objective")
+_CONFIG_FIELDS = {f.name for f in fields(TrainConfig)}
 
 
 def load_model(blob: bytes) -> Model:
-    """Parse and validate a model document produced by :func:`save_model`."""
+    """Parse and validate a model document produced by :func:`save_model`.
+
+    Version 1 documents also load: their top-level ``m``, ``c`` and
+    ``measure`` repeat the config block and are ignored, as is the config's
+    retired tie-set policy knob.
+    """
     try:
         text = blob.decode("utf-8") if isinstance(blob, bytes) else str(blob)
         document = json.loads(text)
@@ -376,25 +370,24 @@ def load_model(blob: bytes) -> Model:
     if not isinstance(document, dict):
         raise ModelFormatError("model document must be a JSON object")
     version = document.get("schema_version")
-    if version != MODEL_SCHEMA_VERSION:
+    if version not in (1, MODEL_SCHEMA_VERSION):
         raise ModelFormatError(
-            f"unsupported schema_version {version!r}; expected {MODEL_SCHEMA_VERSION}"
+            f"unsupported schema_version {version!r}; expected 1 or {MODEL_SCHEMA_VERSION}"
         )
-    required = ("d", "m", "c", "measure", "config", "dictionary", "weights", "alphas", "trace")
+    required = ("d", "config", "dictionary", "weights", "alphas", "trace")
     missing = [key for key in required if key not in document]
     if missing:
         raise ModelFormatError(f"model document missing fields: {missing}")
+    block = document["config"]
+    if version == 1 and isinstance(block, dict):
+        block = {key: value for key, value in block.items() if key in _CONFIG_FIELDS}
     try:
-        config = TrainConfig(**document["config"])
+        config = TrainConfig(**block)
     except (TypeError, ValueError) as exc:
         raise ModelFormatError(f"invalid config block: {exc}") from None
-    d, m = int(document["d"]), int(document["m"])
-    if config.dict_size != m:
-        raise ModelFormatError(f"config dict_size {config.dict_size} != m {m}")
-    if config.measure.value != document["measure"]:
-        raise ModelFormatError("config measure disagrees with top-level measure")
-    if float(document["c"]) != config.norm_cap:
-        raise ModelFormatError("config norm_cap disagrees with top-level c")
+    d, m = int(document["d"]), config.dict_size
+    if m is None:
+        raise ModelFormatError("config block must give dict_size")
     flat = np.asarray(document["dictionary"], dtype=np.float64)
     if flat.shape != (d * m,):
         raise ModelFormatError(f"dictionary has {flat.size} numbers, expected {d * m}")

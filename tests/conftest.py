@@ -1,6 +1,7 @@
 """Shared generators and independent oracles for the test suite."""
 
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,9 @@ from sparsetuple import Dataset
 from sparsetuple.measures import MeasureKind
 
 ALL_KINDS = (MeasureKind.F1, MeasureKind.PRBEP, MeasureKind.AUC)
+
+# A schema-version-1 model (d=3, m=4, 3 iterations) written before version 2.
+MODEL_V1 = Path(__file__).parent / "data" / "model_v1.json"
 
 
 def make_gaussian_dataset(seed=12345, n=200, d=10, separation=1.5) -> Dataset:

@@ -16,14 +16,15 @@ from sparsetuple.dataio import serialize_svmlight
 from sparsetuple.hyperloss import (
     argmax_F_bruteforce,
     argmax_F_oracle,
-    joint_score,
+    flip_coefficients,
     loss_gradient_w,
+    point_scores,
     predict,
     upper_bound,
 )
 from sparsetuple.measures import MeasureKind, UndefinedTupleLossError, tuple_loss
 from sparsetuple.sparse_coding import (
-    code_gradient,
+    code_gradient_batch,
     dual_ascent_alphas,
     lagrangian_gradient,
     smoothing_weights,
@@ -110,7 +111,9 @@ def test_criterion_3_gradient_fidelity():
             r = x - D @ v
             return float(r @ r + c1 * v @ (u * v) + loss_term @ v)
 
-        analytic = code_gradient(D, x, s, u, c1, loss_term)
+        analytic = code_gradient_batch(
+            D, x[:, None], s[:, None], u[:, None], c1, loss_term[:, None]
+        )[:, 0]
         numeric = central_difference(coding_objective, s, h=1e-5)
         rel = np.linalg.norm(analytic - numeric) / max(np.linalg.norm(numeric), 1e-8)
         worst_code = max(worst_code, rel)
@@ -131,7 +134,7 @@ def test_criterion_3_gradient_fidelity():
                 total += (c3 / len(frozen)) * (linear + tuple_loss(kind, labels, cand))
             return total
 
-        analytic = loss_gradient_w(w, codes, labels, frozen, c2, c3)
+        analytic = loss_gradient_w(w, codes, flip_coefficients(labels, frozen, c3), c2)
         numeric = central_difference(bound_objective, w, h=1e-5)
         rel = np.linalg.norm(analytic - numeric) / max(np.linalg.norm(numeric), 1e-8)
         worst_w = max(worst_w, rel)
@@ -192,7 +195,7 @@ def test_criterion_6_prediction_decomposition():
         tuples = exhaustive_label_tuples(n)
         best = (tuples.astype(float) @ (w @ codes)).max()
         predicted = predict(w, codes)
-        assert joint_score(w, codes, predicted) == pytest.approx(best, abs=1e-12)
+        assert point_scores(w, codes) @ predicted == pytest.approx(best, abs=1e-12)
     # constructed zero-score ties resolve to +1
     np.testing.assert_array_equal(predict(np.zeros(3), np.ones((3, 4))), np.ones(4))
     codes = np.array([[1.0, 0.0], [0.5, 0.0]])

@@ -6,7 +6,7 @@ import pytest
 from sparsetuple.cli import SWEEP_HEADER, main
 from sparsetuple.dataio import kfold_split, serialize_svmlight
 
-from conftest import make_gaussian_dataset
+from conftest import MODEL_V1, make_gaussian_dataset
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +44,7 @@ class TestTrain:
         rc = main(train_flags(data_path, model_path) + ["--trace", str(trace_path)])
         assert rc == 0
         document = json.loads(model_path.read_text())
-        assert document["schema_version"] == 1
+        assert document["schema_version"] == 2
         assert len(document["trace"]) == 20
         trace_rows = trace_path.read_text().strip().split("\n")
         assert len(trace_rows) == 21  # header + one row per iteration
@@ -132,6 +132,14 @@ class TestPredict:
         rc = main(["predict", "--model", str(model_path), "--data", str(other),
                    "--out", str(tmp_path / "p.tsv")])
         assert rc == 2
+
+    def test_version_1_model_predicts(self, tmp_path):
+        data = tmp_path / "three.svm"
+        data.write_text("+1 1:1.5 2:0.5 3:1.0\n-1 1:-1.0 3:-2.0\n+1 2:2.0\n")
+        out = tmp_path / "p.tsv"
+        rc = main(["predict", "--model", str(MODEL_V1), "--data", str(data), "--out", str(out)])
+        assert rc == 0
+        assert len(out.read_text().strip().split("\n")) == 3
 
 
 class TestEval:
@@ -310,6 +318,9 @@ class TestSweep:
         rows = out.read_text().strip().split("\n")[1:]
         assert rows[0].endswith(",failed")
         assert rows[1].endswith(",ok")
+        err = capsys.readouterr().err
+        assert "error: c1=-1.0 c2=0.01 c3=1.0: ValueError" in err
+        assert "must be nonnegative" in err
 
     def test_empty_grid_rejected(self, data_file, tmp_path):
         data_path, _ = data_file

@@ -3,12 +3,9 @@ import pytest
 
 from sparsetuple.hyperloss import (
     ArgmaxResult,
-    F_value,
     argmax_F_bruteforce,
     argmax_F_oracle,
     flip_coefficients,
-    joint_score,
-    loss_gradient_s,
     loss_gradient_w,
     point_scores,
     predict,
@@ -24,12 +21,23 @@ from sparsetuple.measures import (
 from conftest import ALL_KINDS, central_difference, exhaustive_label_tuples, random_instance
 
 
+def F(w, codes, y_true, y_cand, kind):
+    """Mismatch-weighted score plus tuple loss of one candidate tuple."""
+    y = np.asarray(y_true)
+    cand = np.asarray(y_cand)
+    return float((cand - y) @ point_scores(w, codes)) + tuple_loss(kind, y, cand)
+
+
 class TestJointScore:
+    """The joint score of a label tuple is ``point_scores(w, codes) @ labels``."""
+
     def test_all_positive_sums_scores(self):
         rng = np.random.default_rng(3)
         w = rng.normal(size=3)
         S = rng.normal(size=(3, 5))
-        assert joint_score(w, S, np.ones(5, dtype=int)) == pytest.approx((w @ S).sum())
+        per_point = [float(w @ S[:, i]) for i in range(5)]
+        np.testing.assert_allclose(point_scores(w, S), per_point, rtol=1e-12)
+        assert point_scores(w, S) @ np.ones(5, dtype=int) == pytest.approx(sum(per_point))
 
     def test_single_flip_changes_by_twice_score(self):
         rng = np.random.default_rng(5)
@@ -39,15 +47,17 @@ class TestJointScore:
         flipped = labels.copy()
         flipped[2] = 1
         q = point_scores(w, S)
-        delta = joint_score(w, S, flipped) - joint_score(w, S, labels)
+        delta = q @ flipped - q @ labels
         assert delta == pytest.approx(2 * q[2])
 
     def test_hand_value(self):
-        assert joint_score([1.0], [[2.0, -1.0]], [1, -1]) == pytest.approx(3.0)
+        assert point_scores([1.0], [[2.0, -1.0]]) @ [1, -1] == pytest.approx(3.0)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            joint_score([1.0], [[1.0, 2.0]], [1, -1, 1])
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            point_scores([1.0], [[1.0, 2.0], [3.0, 4.0]])
+        with pytest.raises(ValueError, match="m-by-n"):
+            point_scores([1.0], [1.0, 2.0])
 
 
 class TestPredict:
@@ -69,7 +79,7 @@ class TestPredict:
             scores = tuples.astype(float) @ (w @ S)
             best = scores.max()
             predicted = predict(w, S)
-            assert joint_score(w, S, predicted) == pytest.approx(best, abs=1e-12)
+            assert point_scores(w, S) @ predicted == pytest.approx(best, abs=1e-12)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(11)
@@ -78,24 +88,26 @@ class TestPredict:
 
 
 class TestFValue:
+    """The F that the argmax searches maximize, as defined by ``F`` above."""
+
     def test_zero_at_truth(self):
         rng = np.random.default_rng(13)
         for kind in ALL_KINDS:
             w, S, y = random_instance(rng, kind)
-            assert F_value(w, S, y, y, kind) == 0.0
+            assert F(w, S, y, y, kind) == 0.0
 
     def test_hand_value(self):
         # flip the first point of y = (+1, -1) with unit score: -2 + loss 1
         w = np.array([1.0])
         S = np.array([[1.0, -1.0]])
-        assert F_value(w, S, [1, -1], [-1, -1], MeasureKind.F1) == pytest.approx(-1.0)
+        assert F(w, S, [1, -1], [-1, -1], MeasureKind.F1) == pytest.approx(-1.0)
 
     def test_bound_chain_at_prediction(self):
         rng = np.random.default_rng(17)
         for _ in range(50):
             w, S, y = random_instance(rng, MeasureKind.F1)
             predicted = predict(w, S)
-            assert F_value(w, S, y, predicted, MeasureKind.F1) >= tuple_loss(
+            assert F(w, S, y, predicted, MeasureKind.F1) >= tuple_loss(
                 MeasureKind.F1, y, predicted
             ) - 1e-12
 
@@ -103,7 +115,7 @@ class TestFValue:
         w = np.array([1.0])
         S = np.array([[1.0, 1.0]])
         with pytest.raises(UndefinedTupleLossError):
-            F_value(w, S, [1, -1], [1, 1], MeasureKind.PRBEP)
+            F(w, S, [1, -1], [1, 1], MeasureKind.PRBEP)
 
 
 class TestBruteforce:
@@ -120,7 +132,7 @@ class TestBruteforce:
             (-1, -1): -1.0,
         }
         for cand, expected in values.items():
-            assert F_value(w, S, y, cand, MeasureKind.F1) == pytest.approx(expected)
+            assert F(w, S, y, cand, MeasureKind.F1) == pytest.approx(expected)
         result = argmax_F_bruteforce(w, S, y, MeasureKind.F1)
         assert result.max_value == pytest.approx(7 / 3)
         assert len(result.maximizers) == 1
@@ -141,7 +153,7 @@ class TestBruteforce:
                 w, S, y = random_instance(rng, kind, n_max=8)
                 result = argmax_F_bruteforce(w, S, y, kind)
                 for cand in result.maximizers:
-                    assert F_value(w, S, y, cand, kind) == pytest.approx(
+                    assert F(w, S, y, cand, kind) == pytest.approx(
                         result.max_value, abs=1e-12
                     )
 
@@ -191,7 +203,7 @@ class TestOracle:
             for _ in range(30):
                 w, S, y = random_instance(rng, kind)
                 result = argmax_F_oracle(w, S, y, kind)
-                attained = F_value(w, S, y, result.maximizers[0], kind)
+                attained = F(w, S, y, result.maximizers[0], kind)
                 assert attained == pytest.approx(result.max_value, abs=1e-9)
 
     def test_deterministic_representative(self):
@@ -253,15 +265,14 @@ class TestLossGradients:
         w = rng.normal(size=3)
         S = rng.normal(size=(3, 4))
         y = np.array([1, -1, 1, -1])
-        grad = loss_gradient_w(w, S, y, (y,), c2=0.7, c3=2.0)
+        grad = loss_gradient_w(w, S, flip_coefficients(y, (y,), 2.0), c2=0.7)
         np.testing.assert_allclose(grad, 0.7 * w)
 
     def test_gradient_w_hand_value(self):
         # single maximizer (+1, +1) against y = (+1, -1): only point 2 differs
         S = np.array([[1.0, 2.0], [0.5, -1.0]])
-        grad = loss_gradient_w(
-            np.zeros(2), S, [1, -1], (np.array([1, 1]),), c2=0.0, c3=1.5
-        )
+        coefficients = flip_coefficients([1, -1], (np.array([1, 1]),), 1.5)
+        grad = loss_gradient_w(np.zeros(2), S, coefficients, c2=0.0)
         np.testing.assert_allclose(grad, 1.5 * 2 * S[:, 1])
 
     def test_gradient_w_matches_finite_differences(self):
@@ -280,41 +291,46 @@ class TestLossGradients:
                     total += (c3 / len(frozen)) * (linear + tuple_loss(kind, y, cand))
                 return total
 
-            analytic = loss_gradient_w(w, S, y, frozen, c2, c3)
+            analytic = loss_gradient_w(w, S, flip_coefficients(y, frozen, c3), c2)
             numeric = central_difference(objective, w, h=1e-5)
             scale = max(np.linalg.norm(numeric), 1e-8)
             assert np.linalg.norm(analytic - numeric) / scale <= 1e-5
 
+    # The trainer's loss term for code i is column i of np.outer(w, coefficients).
+
     def test_gradient_s_zero_when_labels_match(self):
         w = np.ones(2)
         y = np.array([1, -1])
-        grad = loss_gradient_s(0, w, y, (np.array([1, 1]),), c3=3.0)
-        np.testing.assert_array_equal(grad, [0.0, 0.0])
+        coefficients = flip_coefficients(y, (np.array([1, 1]),), c3=3.0)
+        np.testing.assert_array_equal(np.outer(w, coefficients)[:, 0], [0.0, 0.0])
 
     def test_gradient_s_single_flip(self):
         w = np.array([0.5, -0.5])
         y = np.array([1, -1])
-        grad = loss_gradient_s(0, w, y, (np.array([-1, -1]),), c3=2.0)
-        np.testing.assert_allclose(grad, -2.0 * 2.0 * w)
+        coefficients = flip_coefficients(y, (np.array([-1, -1]),), c3=2.0)
+        np.testing.assert_allclose(np.outer(w, coefficients)[:, 0], -2.0 * 2.0 * w)
 
     def test_gradient_s_consistent_with_gradient_w(self):
-        # summing codes-weighted per-point loss terms reproduces the loss
-        # part of the w gradient
+        # both loss terms are gradients of the same frozen-tie-set bound, in
+        # w and in the codes respectively
         rng = np.random.default_rng(59)
         w, S, y = random_instance(rng, MeasureKind.F1)
         frozen = argmax_F_bruteforce(w, S, y, MeasureKind.F1).maximizers
         c3 = 1.3
         coefficients = flip_coefficients(y, frozen, c3)
-        loss_part = loss_gradient_w(w, S, y, frozen, c2=0.0, c3=c3)
+        loss_part = loss_gradient_w(w, S, coefficients, c2=0.0)
         np.testing.assert_allclose(S @ coefficients, loss_part, rtol=1e-12, atol=1e-12)
-        for i in range(y.size):
-            np.testing.assert_allclose(
-                loss_gradient_s(i, w, y, frozen, c3), coefficients[i] * w
-            )
+
+        def bound(flat_codes):
+            return float(coefficients @ (w @ flat_codes.reshape(S.shape)))
+
+        numeric = central_difference(bound, S.ravel(), h=1e-5).reshape(S.shape)
+        np.testing.assert_allclose(np.outer(w, coefficients), numeric, atol=1e-8)
 
     def test_gradient_s_index_out_of_range(self):
-        with pytest.raises(IndexError):
-            loss_gradient_s(5, np.ones(2), np.array([1, -1]), (np.array([1, -1]),), 1.0)
+        # a maximizer reaching past the truth's last point is rejected
+        with pytest.raises(ValueError, match="does not match"):
+            flip_coefficients(np.array([1, -1]), (np.array([1, -1, 1]),), 1.0)
 
     def test_empty_maximizer_set_rejected(self):
         with pytest.raises(ValueError, match="empty"):

@@ -4,37 +4,44 @@ import pytest
 from sparsetuple.sparse_coding import (
     Dictionary,
     SingularGramError,
-    code_gradient,
     code_gradient_batch,
-    code_step,
     dual_ascent_alphas,
-    dual_value,
     lagrangian_gradient,
-    reconstruction_error,
     smoothing_weights,
     solve_dictionary,
 )
+from sparsetuple.trainer import TrainConfig, _objective_entry, encode
 
 from conftest import central_difference
+
+
+def one_point_gradient(D, x, s, u, c1, loss_term):
+    """:func:`code_gradient_batch` on one point, as one-column matrices."""
+    return code_gradient_batch(D, x[:, None], s[:, None], u[:, None], c1, loss_term[:, None])[:, 0]
+
+
+def trace_reconstruction(D, x, s):
+    """Reconstruction term of the trainer's objective for one point."""
+    entry, _ = _objective_entry(
+        x[:, None], D, s[:, None], np.zeros(D.shape[1]), np.ones(1, dtype=int),
+        TrainConfig(),
+    )
+    return entry.reconstruction
 
 
 class TestReconstructionError:
     def test_zero_code_gives_input_norm(self):
         x = np.array([3.0, 4.0])
         D = np.ones((2, 3))
-        assert reconstruction_error(D, x, np.zeros(3)) == 25.0
+        assert trace_reconstruction(D, x, np.zeros(3)) == 25.0
 
     def test_exact_reconstruction(self):
         D = np.array([[1.0, 0.0], [0.0, 1.0]])
         x = np.array([2.0, -1.0])
-        assert reconstruction_error(D, x, x) == 0.0
+        assert trace_reconstruction(D, x, x) == 0.0
 
     def test_scalar_hand_value(self):
-        assert reconstruction_error(np.array([[2.0]]), np.array([3.0]), np.array([1.0])) == 1.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            reconstruction_error(np.ones((2, 2)), np.ones(3), np.ones(2))
+        assert trace_reconstruction(np.array([[2.0]]), np.array([3.0]), np.array([1.0])) == 1.0
 
 
 class TestSmoothingWeights:
@@ -70,12 +77,12 @@ class TestCodeGradient:
         x = np.array([1.0, 2.0])
         s = x.copy()
         u = smoothing_weights(s, 1e-8)
-        grad = code_gradient(D, x, s, u, c1=0.0, loss_term=np.zeros(2))
+        grad = one_point_gradient(D, x, s, u, c1=0.0, loss_term=np.zeros(2))
         np.testing.assert_allclose(grad, 0.0, atol=1e-14)
 
     def test_scalar_hand_value(self):
         # d = m = 1, D = 1, x = 2, s = 0: reconstruction part alone gives -4
-        grad = code_gradient(
+        grad = one_point_gradient(
             np.array([[1.0]]), np.array([2.0]), np.array([0.0]),
             smoothing_weights(np.array([0.0]), 1e-8), c1=0.5, loss_term=np.zeros(1),
         )
@@ -97,34 +104,42 @@ class TestCodeGradient:
                 r = x - D @ v
                 return float(r @ r + c1 * v @ (u * v) + loss_term @ v)
 
-            analytic = code_gradient(D, x, s, u, c1, loss_term)
+            analytic = one_point_gradient(D, x, s, u, c1, loss_term)
             numeric = central_difference(objective, s, h=1e-5)
             scale = max(np.linalg.norm(numeric), 1e-8)
             assert np.linalg.norm(analytic - numeric) / scale <= 1e-5
 
     def test_batch_matches_columns(self):
+        # each column's gradient depends on that column alone
         rng = np.random.default_rng(29)
         d, m, n = 4, 3, 6
         D = rng.normal(size=(d, m))
         X = rng.normal(size=(d, n))
         S = rng.normal(size=(m, n))
-        U = 1.0 / np.maximum(np.abs(S), 1e-8)
+        U = smoothing_weights(S, 1e-8)
         L = rng.normal(size=(m, n))
         batch = code_gradient_batch(D, X, S, U, 0.3, L)
         for i in range(n):
-            single = code_gradient(D, X[:, i], S[:, i], U[:, i], 0.3, L[:, i])
+            single = one_point_gradient(D, X[:, i], S[:, i], U[:, i], 0.3, L[:, i])
             np.testing.assert_allclose(batch[:, i], single, rtol=1e-12, atol=1e-12)
 
 
 class TestCodeStep:
+    """The gradient step on codes, as :func:`encode` takes it."""
+
     def test_zero_gradient_keeps_code(self):
-        s = np.array([1.0, -2.0])
-        np.testing.assert_array_equal(code_step(s, np.zeros(2), 0.1), s)
+        # c1 = 0 and D = I: the ridge start is x itself, a stationary point
+        x = np.array([[1.0, -2.0]])
+        dictionary = Dictionary(np.eye(2), 1.0, np.zeros(2))
+        codes = encode(dictionary, x, TrainConfig(c1=0.0, eta=0.1, encode_iters=5))
+        np.testing.assert_array_equal(codes[:, 0], x[0])
 
     def test_arithmetic(self):
-        np.testing.assert_allclose(
-            code_step(np.array([1.0, 0.0]), np.array([1.0, -1.0]), 0.5), [0.5, 0.5]
-        )
+        # D = 1, x = 4, c1 = 1: ridge start s = 2, reweighting 1/2, gradient
+        # -2 (4 - 2) + 2 * 1 * 0.5 * 2 = -2, so one step of 0.25 gives 2.5
+        dictionary = Dictionary(np.ones((1, 1)), 1.0, np.zeros(1))
+        codes = encode(dictionary, [[4.0]], TrainConfig(c1=1.0, eta=0.25, encode_iters=1))
+        assert codes[0, 0] == pytest.approx(2.5, abs=1e-12)
 
     def test_converges_on_quadratic(self):
         # repeated steps on the pure reconstruction quadratic reach least squares
@@ -136,12 +151,8 @@ class TestCodeStep:
         s = np.zeros(3)
         zero_u = np.zeros(3)
         for _ in range(2000):
-            s = code_step(s, code_gradient(D, x, s, zero_u, 0.0, np.zeros(3)), eta)
+            s = s - eta * one_point_gradient(D, x, s, zero_u, 0.0, np.zeros(3))
         np.testing.assert_allclose(s, target, atol=1e-8)
-
-    def test_eta_validation(self):
-        with pytest.raises(ValueError):
-            code_step(np.ones(2), np.ones(2), 0.0)
 
 
 class TestSolveDictionary:
@@ -210,7 +221,10 @@ class TestDualAscent:
             analytic = np.sum(D * D, axis=0) - cap
 
             def dual(v):
-                return dual_value(X, S, v, cap)
+                elements = solve_dictionary(X, S, v)
+                residual = X - elements @ S
+                column_sq = np.sum(elements * elements, axis=0)
+                return float(np.sum(residual * residual) + np.sum(v * (column_sq - cap)))
 
             numeric = central_difference(dual, alphas, h=1e-6)
             np.testing.assert_allclose(analytic, numeric, rtol=1e-5, atol=1e-7)

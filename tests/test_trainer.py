@@ -3,10 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from sparsetuple import hyperloss
 from sparsetuple.dataio import Dataset
 from sparsetuple.hyperloss import predict
 from sparsetuple.measures import DegenerateClassError, MeasureKind, tuple_loss
-from sparsetuple.sparse_coding import reconstruction_error, solve_dictionary
+from sparsetuple.sparse_coding import solve_dictionary
 from sparsetuple.trainer import (
     Model,
     ModelFormatError,
@@ -19,7 +20,7 @@ from sparsetuple.trainer import (
     save_model,
 )
 
-from conftest import make_gaussian_dataset
+from conftest import MODEL_V1, make_gaussian_dataset
 
 
 def small_dataset(seed=0, n=40, d=5):
@@ -30,7 +31,7 @@ class TestTrainConfig:
     def test_defaults_valid(self):
         cfg = TrainConfig()
         assert cfg.measure is MeasureKind.F1
-        assert cfg.tie_policy == "single"
+        assert cfg.dict_size is None
 
     def test_measure_accepts_string(self):
         assert TrainConfig(measure="auc").measure is MeasureKind.AUC
@@ -45,7 +46,7 @@ class TestTrainConfig:
             {"norm_cap": 0.0},
             {"eps": 0.0},
             {"dual_rate": 0.0},
-            {"tie_policy": "other"},
+            {"encode_iters": -1},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -175,10 +176,18 @@ class TestFit:
                 fit(ds, cfg)
         assert info.value.iteration >= 0
 
-    def test_average_tie_policy_runs_bruteforce(self):
-        ds = small_dataset(n=10, d=3)
-        model = fit(ds, TrainConfig(iters=3, dict_size=3, tie_policy="average", seed=5))
-        assert len(model.trace) == 3
+    def test_oracle_runs_once_per_iteration(self, monkeypatch):
+        # the argmax that scores iteration t's end is the one t + 1 starts from
+        calls = []
+        oracle = hyperloss.argmax_F_oracle
+
+        def counting(*args):
+            calls.append(args)
+            return oracle(*args)
+
+        monkeypatch.setattr(hyperloss, "argmax_F_oracle", counting)
+        fit(small_dataset(), TrainConfig(iters=6, dict_size=4, seed=5))
+        assert len(calls) == 6 + 1
 
     def test_eta_backoff_tames_oversized_steps(self):
         ds = small_dataset()
@@ -222,10 +231,9 @@ class TestEncode:
         i = 7
         x = ds.features[i]
         codes = encode(model.dictionary, ds.features[i : i + 1], cfg)
-        err_train = reconstruction_error(
-            model.dictionary.elements, x, model.training_codes[:, i]
-        )
-        err_encoded = reconstruction_error(model.dictionary.elements, x, codes[:, 0])
+        D = model.dictionary.elements
+        err_train = float(np.sum((x - D @ model.training_codes[:, i]) ** 2))
+        err_encoded = float(np.sum((x - D @ codes[:, 0]) ** 2))
         assert abs(err_train - err_encoded) <= 1e-3
 
     def test_zero_input_gives_zero_code(self):
@@ -271,9 +279,25 @@ class TestSerialization:
 
     def test_version_mismatch(self):
         document = json.loads(save_model(self.make_model()).decode())
-        document["schema_version"] = 2
+        document["schema_version"] = 3
         with pytest.raises(ModelFormatError, match="schema_version"):
             load_model(json.dumps(document).encode())
+
+    def test_version_1_loads_and_resaves_as_version_2(self):
+        blob = MODEL_V1.read_bytes()
+        assert json.loads(blob)["schema_version"] == 1
+        model = load_model(blob)
+        assert (model.dictionary.d, model.dictionary.m, len(model.trace)) == (3, 4, 3)
+        resaved = save_model(model)
+        document = json.loads(resaved)
+        assert document["schema_version"] == 2
+        assert not {"m", "c", "measure"} & set(document)
+        again = load_model(resaved)
+        np.testing.assert_array_equal(again.dictionary.elements, model.dictionary.elements)
+        np.testing.assert_array_equal(again.dictionary.multipliers, model.dictionary.multipliers)
+        np.testing.assert_array_equal(again.weights, model.weights)
+        assert again.config == model.config
+        assert again.trace == model.trace
 
     def test_truncated_stream(self):
         blob = save_model(self.make_model())
@@ -296,6 +320,11 @@ class TestSerialization:
         document = json.loads(save_model(self.make_model()).decode())
         del document["alphas"]
         with pytest.raises(ModelFormatError, match="missing"):
+            load_model(json.dumps(document).encode())
+        # the config block is now the only record of the dictionary size
+        document = json.loads(save_model(self.make_model()).decode())
+        document["config"]["dict_size"] = None
+        with pytest.raises(ModelFormatError, match="dict_size"):
             load_model(json.dumps(document).encode())
 
     def test_model_validates_weight_shape(self):
