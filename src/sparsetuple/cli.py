@@ -92,6 +92,13 @@ def _cmd_train(args: argparse.Namespace) -> int:
     dataset = _load_dataset(args.data, args.format)
     model = fit(dataset, config)
     Path(args.out).write_bytes(save_model(model))
+    missed = model.ascent_converged.count(False)
+    if missed:
+        elements = model.dictionary.elements
+        ratio = float(np.sum(elements * elements, axis=0).max()) / config.norm_cap
+        print(f"warning: dual ascent missed the norm cap in {missed} of "
+              f"{len(model.ascent_converged)} iterations; largest squared column norm "
+              f"is {ratio:.4f} x --norm-cap", file=sys.stderr)
     if args.trace:
         buffer = io.StringIO()
         writer = csv.writer(buffer)

@@ -5,11 +5,17 @@ Two text formats are understood: sparse svmlight-style lines
 and ``#`` comments) and CSV with a header containing a ``label`` column.
 Features are stored dense; the sparse format is an input convention, not a
 storage contract.
+
+svmlight indices and values follow Python's ``int()`` and ``float()``
+syntax.  The first error in file order is reported, with its line.  Entries
+are checked and converted in blocks, so parse memory beyond the dense
+matrix is bounded by a block, not by the file.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -82,19 +88,14 @@ def _parse_label(token: str, line_no: int) -> int:
         raise DatasetFormatError(f"label {token!r} not in {{+1, -1}}", line_no) from None
 
 
-def parse_svmlight(data) -> Dataset:
-    """Parse svmlight-style text into a dense Dataset."""
-    text = _decode(data)
-    rows: list[list[tuple[int, float]]] = []
-    labels: list[int] = []
-    max_index = 0
-    for line_no, raw in enumerate(text.split("\n"), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        labels.append(_parse_label(tokens[0], line_no))
-        entries: list[tuple[int, float]] = []
+# Feature entries converted at a time: parse memory is bounded by one block.
+_BLOCK_ENTRIES = 4096
+
+
+def _raise_first_error(lines) -> None:
+    """Raise the first error the per-token rules find in ``(line number, tokens)`` pairs."""
+    for line_no, tokens in lines:
+        _parse_label(tokens[0], line_no)
         previous = 0
         for token in tokens[1:]:
             index_str, sep, value_str = token.partition(":")
@@ -106,6 +107,8 @@ def parse_svmlight(data) -> Dataset:
                 raise DatasetFormatError(f"malformed feature index in {token!r}", line_no) from None
             if index < 1:
                 raise DatasetFormatError(f"feature index {index} must be >= 1", line_no)
+            if index > np.iinfo(np.int64).max:
+                raise DatasetFormatError(f"feature index {index} does not fit in 64 bits", line_no)
             if index <= previous:
                 raise DatasetFormatError(
                     f"feature indices not strictly increasing at {token!r}", line_no
@@ -116,18 +119,66 @@ def parse_svmlight(data) -> Dataset:
                 raise DatasetFormatError(f"malformed feature value in {token!r}", line_no) from None
             if not np.isfinite(value):
                 raise DatasetFormatError(f"non-finite feature value in {token!r}", line_no)
-            entries.append((index, value))
             previous = index
-        max_index = max(max_index, previous)
-        rows.append(entries)
-    if not rows:
+
+
+def _convert_block(lines, entries, counts):
+    """Labels, row of each entry, indices and values; checks whole blocks at once."""
+    labels = [_LABEL_TOKENS.get(tokens[0]) for _, tokens in lines]
+    if None in labels or set(map(str.count, entries, repeat(":"))) - {1}:
+        _raise_first_error(lines)
+    # Tokens hold no whitespace, so this splits each one at its only colon.
+    pieces = " ".join(entries).replace(":", " ").split(" ")
+    try:
+        indices = np.fromiter(map(int, pieces[0::2]), np.int64, len(entries))
+        values = np.fromiter(map(float, pieces[1::2]), np.float64, len(entries))
+    except (ValueError, OverflowError):
+        _raise_first_error(lines)
+    counts = np.array(counts)
+    # Each index must exceed the one before it in its row, or 0 at a row start.
+    previous = np.concatenate(([0], indices[:-1]))
+    previous[(np.cumsum(counts) - counts)[counts > 0]] = 0
+    if not (np.all(indices > previous) and np.all(np.isfinite(values))):
+        _raise_first_error(lines)
+    return labels, np.repeat(np.arange(len(lines)), counts), indices, values
+
+
+def parse_svmlight(data) -> Dataset:
+    """Parse svmlight-style text into a dense Dataset."""
+    text_lines = _decode(data).split("\n")
+    labels, line_numbers, parts = [], [], []
+    lines, entries, counts = [], [], []
+    for line_no, raw in enumerate(text_lines, start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if tokens:
+            lines.append((line_no, tokens))
+            entries += tokens[1:]
+            counts.append(len(tokens) - 1)
+        if lines and (len(entries) >= _BLOCK_ENTRIES or line_no == len(text_lines)):
+            block_labels, rows, indices, values = _convert_block(lines, entries, counts)
+            parts.append((rows + len(labels), indices, values))
+            labels += block_labels
+            line_numbers += [number for number, _ in lines]
+            lines, entries, counts = [], [], []
+    if not labels:
         raise DatasetFormatError("empty dataset")
-    if max_index == 0:
+    # Free the lines, then the blocks, before the dense matrix is allocated,
+    # so that it and the work after parsing can reuse their memory.
+    del text_lines
+    rows, indices, values = map(np.concatenate, zip(*parts))
+    del parts
+    if not indices.size:
         raise DatasetFormatError("no feature indices seen; d must be >= 1")
-    features = np.zeros((len(rows), max_index), dtype=np.float64)
-    for i, entries in enumerate(rows):
-        for index, value in entries:
-            features[i, index - 1] = value
+    top = int(np.argmax(indices))
+    n, d = len(labels), int(indices[top])
+    try:
+        features = np.zeros((n, d), dtype=np.float64)
+    except (ValueError, MemoryError):
+        raise DatasetFormatError(
+            f"feature index {d} needs an {n}-by-{d} matrix, too large to allocate",
+            line_numbers[rows[top]],
+        ) from None
+    features[rows, indices - 1] = values
     return Dataset(features, np.array(labels, dtype=np.int64))
 
 

@@ -113,8 +113,10 @@ class TraceEntry:
 class Model:
     """Trained dictionary plus predictor weights and the training trace.
 
-    ``training_codes`` is the final code matrix of the training run; it is
-    kept in memory for inspection but is not part of the serialized schema.
+    ``training_codes`` is the final code matrix of the training run and
+    ``ascent_converged`` holds, per iteration, whether the multiplier ascent
+    brought every column within the norm cap; both are kept in memory for
+    inspection but are not part of the serialized schema.
     """
 
     dictionary: Dictionary
@@ -122,6 +124,7 @@ class Model:
     config: TrainConfig
     trace: tuple[TraceEntry, ...]
     training_codes: np.ndarray | None = field(default=None, repr=False)
+    ascent_converged: tuple[bool, ...] | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
@@ -233,6 +236,7 @@ def fit(data: Dataset, config: TrainConfig, observer=None) -> Model:
     halvings = 0
     previous_objective = np.inf
     trace: list[TraceEntry] = []
+    converged: list[bool] = []
     result = hyperloss.argmax_F_oracle(weights, codes, y, config.measure)
     for iteration in range(config.iters):
         try:
@@ -277,7 +281,7 @@ def fit(data: Dataset, config: TrainConfig, observer=None) -> Model:
         _ensure_finite(iteration, elements, codes, weights)
 
         try:
-            alphas, _ = sparse_coding.dual_ascent_alphas(
+            alphas, ascent_ok = sparse_coding.dual_ascent_alphas(
                 X, codes, config.norm_cap, alphas, config.dual_rate, config.dual_steps
             )
         except sparse_coding.SingularGramError:
@@ -289,9 +293,11 @@ def fit(data: Dataset, config: TrainConfig, observer=None) -> Model:
         _ensure_finite(iteration, alphas)
 
         trace.append(entry)
+        converged.append(ascent_ok)
         previous_objective = entry.objective
     final_dictionary = Dictionary(elements, config.norm_cap, alphas)
-    return Model(final_dictionary, weights, config, tuple(trace), training_codes=codes)
+    return Model(final_dictionary, weights, config, tuple(trace), training_codes=codes,
+                 ascent_converged=tuple(converged))
 
 
 def encode(dictionary: Dictionary, features, config: TrainConfig) -> np.ndarray:

@@ -1,10 +1,12 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from sparsetuple.cli import SWEEP_HEADER, main
 from sparsetuple.dataio import kfold_split, serialize_svmlight
+from sparsetuple.trainer import load_model
 
 from conftest import MODEL_V1, make_gaussian_dataset
 
@@ -71,6 +73,29 @@ class TestTrain:
         rc = main(train_flags(path, tmp_path / "m.json"))
         assert rc == 1
         assert "error" in capsys.readouterr().err
+
+    def test_absurd_feature_index_exits_1_with_its_line(self, tmp_path, capsys):
+        path = tmp_path / "huge.svm"
+        path.write_text("+1 1:1\n-1 99999999999999999999:1\n")
+        assert main(train_flags(path, tmp_path / "m.json")) == 1
+        assert capsys.readouterr().err.startswith("error: line 2: feature index")
+
+    def test_missed_dual_ascent_warns(self, tmp_path, capsys):
+        path = tmp_path / "gate.svm"
+        path.write_text(serialize_svmlight(make_gaussian_dataset()))
+        # With train_flags' other values, the acceptance gate's configuration.
+        gate = {"--iters": 100, "--dict-size": 20}
+        model_path = tmp_path / "gate.json"
+        assert main(train_flags(path, model_path, **gate)) == 0
+        assert re.fullmatch(
+            r"warning: dual ascent missed the norm cap in [1-9]\d* of 100 iterations; "
+            r"largest squared column norm is \d+\.\d{4} x --norm-cap\n",
+            capsys.readouterr().err,
+        )
+        assert load_model(model_path.read_bytes()).ascent_converged is None
+        loose = train_flags(path, tmp_path / "loose.json", **gate, **{"--norm-cap": "1e6"})
+        assert main(loose) == 0
+        assert capsys.readouterr().err == ""
 
     def test_bad_config_exits_2(self, data_file, tmp_path):
         data_path, _ = data_file

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from sparsetuple import dataio
 from sparsetuple.dataio import (
     Dataset,
     DatasetFormatError,
@@ -55,6 +58,138 @@ class TestParseSvmlight:
     def test_zero_based_index_rejected(self):
         with pytest.raises(DatasetFormatError, match=">= 1"):
             parse_svmlight("+1 0:1.0")
+
+    def test_index_beyond_64_bits_names_its_line(self):
+        with pytest.raises(DatasetFormatError, match="line 2: feature index") as info:
+            parse_svmlight("+1 1:1\n-1 99999999999999999999:1\n+1 3:1")
+        assert info.value.line == 2
+
+    def test_unallocatable_matrix_names_the_line_of_the_largest_index(self):
+        # 2**60 columns of float64 exceed numpy's largest array size outright.
+        with pytest.raises(DatasetFormatError, match="too large") as info:
+            parse_svmlight(f"+1 {2**59}:1\n-1 1:1 {2**60}:1\n+1 2:1")
+        assert info.value.line == 2
+
+    @pytest.mark.parametrize("block_entries", [3, dataio._BLOCK_ENTRIES])
+    @pytest.mark.parametrize("text, message", [
+        ("+1 2:1 1:1\n2 1:1", "line 1: feature indices not strictly increasing at '1:1'"),
+        ("2 1:1\n+1 1:x", "line 1: label '2' not in {+1, -1}"),
+    ])
+    def test_first_error_in_file_order(self, monkeypatch, block_entries, text, message):
+        monkeypatch.setattr(dataio, "_BLOCK_ENTRIES", block_entries)
+        with pytest.raises(DatasetFormatError) as info:
+            parse_svmlight(text)
+        assert str(info.value) == message and info.value.line == 1
+
+
+_REFERENCE_LABELS = {"+1": 1, "1": 1, "-1": -1}
+
+
+def reference_parse_svmlight(text: str) -> Dataset:
+    """The per-token svmlight parser that the block parser replaced."""
+    rows: list[list[tuple[int, float]]] = []
+    labels: list[int] = []
+    max_index = 0
+    for line_no, raw in enumerate(text.split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        if tokens[0] not in _REFERENCE_LABELS:
+            raise DatasetFormatError(f"label {tokens[0]!r} not in {{+1, -1}}", line_no)
+        labels.append(_REFERENCE_LABELS[tokens[0]])
+        entries: list[tuple[int, float]] = []
+        previous = 0
+        for token in tokens[1:]:
+            index_str, sep, value_str = token.partition(":")
+            if not sep or not index_str or not value_str:
+                raise DatasetFormatError(f"malformed feature entry {token!r}", line_no)
+            try:
+                index = int(index_str)
+            except ValueError:
+                raise DatasetFormatError(f"malformed feature index in {token!r}", line_no) from None
+            if index < 1:
+                raise DatasetFormatError(f"feature index {index} must be >= 1", line_no)
+            if index <= previous:
+                raise DatasetFormatError(
+                    f"feature indices not strictly increasing at {token!r}", line_no
+                )
+            try:
+                value = float(value_str)
+            except ValueError:
+                raise DatasetFormatError(f"malformed feature value in {token!r}", line_no) from None
+            if not np.isfinite(value):
+                raise DatasetFormatError(f"non-finite feature value in {token!r}", line_no)
+            entries.append((index, value))
+            previous = index
+        max_index = max(max_index, previous)
+        rows.append(entries)
+    if not rows:
+        raise DatasetFormatError("empty dataset")
+    if max_index == 0:
+        raise DatasetFormatError("no feature indices seen; d must be >= 1")
+    features = np.zeros((len(rows), max_index), dtype=np.float64)
+    for i, entries in enumerate(rows):
+        for index, value in entries:
+            features[i, index - 1] = value
+    return Dataset(features, np.array(labels, dtype=np.int64))
+
+
+_LABEL = st.sampled_from(["+1", "1", "-1"])
+_COMMENT = st.sampled_from(["", " # note 1:2", "#"])
+_VALUE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["1", "-2.5", "+0", "-0.0", "1_0.5", "1e-320"]),
+)
+_GOOD_LINE = st.builds(
+    lambda label, indices, form, values, comment: " ".join(
+        [label] + [f"{form.format(i)}:{v}" for i, v in zip(sorted(indices), values)]
+    ) + comment,
+    _LABEL, st.sets(st.integers(1, 12), max_size=6),
+    st.sampled_from(["{}", "+{}", "0{}", "0_{}"]), st.lists(_VALUE, min_size=6, max_size=6),
+    _COMMENT,
+)
+_ANY_INDEX = st.one_of(
+    st.integers(-1, 9).map(str), st.sampled_from(["-0", "_1", "1_", "1__2", "٣", "x", ""]),
+)
+_ANY_VALUE = st.one_of(_VALUE, st.sampled_from(["inf", "-Infinity", "nan", "1e999", "x", ""]))
+_ANY_TOKEN = st.one_of(
+    st.builds("{}:{}".format, _ANY_INDEX, _ANY_VALUE),
+    st.sampled_from([":", "7", "abc", "1:2:3", "2::1"]),
+)
+_ANY_LINE = st.builds(
+    lambda label, tokens, comment: " ".join([label] + tokens) + comment,
+    st.sampled_from(["+1", "1", "-1", "+1", "-1", "2", "-1.0", "+-1"]),
+    st.lists(_ANY_TOKEN, max_size=6), _COMMENT,
+)
+# Mostly well-formed lines, so that texts parse as well as fail.
+_LINE = st.one_of(
+    _GOOD_LINE, _GOOD_LINE, _GOOD_LINE, _GOOD_LINE, _ANY_LINE,
+    st.sampled_from(["", "   ", "# only a comment"]),
+)
+_TEXT = st.builds(
+    lambda lines, ending: ending.join(lines), st.lists(_LINE, max_size=8),
+    st.sampled_from(["\n", "\r\n"]),
+)
+
+
+def _outcome(parse, text):
+    try:
+        ds = parse(text)
+    except DatasetFormatError as exc:
+        return type(exc), str(exc), exc.line
+    return ds.features.tobytes(), ds.labels.tobytes(), ds.d
+
+
+@settings(max_examples=400, deadline=None)
+@given(_TEXT)
+@example("+1 1:2:3 4\n-1 1:1")  # two colons then none: the pieces still pair up
+@example("+1 3:1\n-1 1:1 2:1")  # indices restart at each row
+def test_block_parser_matches_per_token_reference(text):
+    # Blocks of 3 entries put block boundaries inside and between lines.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dataio, "_BLOCK_ENTRIES", 3)
+        assert _outcome(parse_svmlight, text) == _outcome(reference_parse_svmlight, text)
 
 
 class TestRoundTrip:
