@@ -137,12 +137,15 @@ def _read_predictions(path: str) -> tuple[np.ndarray, np.ndarray]:
         if len(parts) != 3:
             raise DatasetFormatError("prediction line must be id<TAB>score<TAB>label", line_no)
         try:
-            scores.append(float(parts[1]))
+            score = float(parts[1])
             label = int(parts[2])
         except ValueError:
             raise DatasetFormatError("malformed prediction line", line_no) from None
+        if not np.isfinite(score):
+            raise DatasetFormatError(f"non-finite score {parts[1]!r}", line_no)
         if label not in (-1, 1):
             raise DatasetFormatError(f"label {label} not in {{+1, -1}}", line_no)
+        scores.append(score)
         labels.append(label)
     if not labels:
         raise DatasetFormatError("empty predictions file")

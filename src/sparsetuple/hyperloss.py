@@ -16,7 +16,7 @@ through its false-negative/false-positive counts, the maximum over the
 2^n tuple space collapses to a search over count pairs: for fixed counts
 ``(a, b)`` the best candidate flips the ``a`` lowest-scoring true positives
 and the ``b`` highest-scoring true negatives.  :func:`argmax_F_oracle`
-implements that search in O(n log n + n_pos * n_neg); the exponential
+implements that search in O(n log n) time and O(n) memory; the exponential
 :func:`argmax_F_bruteforce` exists as its reference.
 """
 
@@ -45,10 +45,6 @@ __all__ = [
 ]
 
 BRUTEFORCE_MAX_POINTS = 20
-
-# Chunk of flip counts `a` evaluated at once in the oracle grid search.
-_ORACLE_CHUNK = 256
-
 
 @dataclass(frozen=True)
 class ArgmaxResult:
@@ -140,6 +136,20 @@ def argmax_F_oracle(w, codes, y_true, kind: MeasureKind) -> ArgmaxResult:
     candidate for every flip-count pair ``(a, b)`` in O(1).  PRBEP restricts
     the search to its ``a == b`` slice.  Returns one representative
     maximizer, the lexicographically first ``(a, b)`` among ties.
+
+    F1 searches each row ``a`` instead of the whole grid.  Along a row the
+    value is ``2 N[b] + 1 - 2 tp / (2 tp + a + b)`` plus a constant, where
+    ``N[b]`` sums the ``b`` highest negative scores.  Its step from ``b - 1``
+    to ``b`` is twice the ``b``-th highest negative score, which falls as
+    ``b`` grows, plus the step of ``-2 tp / (2 tp + a + b)``, which is
+    concave and increasing in ``b`` and so also falls.  The row is therefore
+    concave: its first maximizing ``b`` is the last ``b`` whose step rises.
+    A search over the bits of ``b`` finds it for all rows at once in
+    ``bit_length(n_neg)`` rounds, and the first row attaining the largest
+    row maximum wins.  Without positives the loss is 0 at ``b = 0`` and 1
+    everywhere else.  Rounding can flatten a rising step when scores are
+    tiny next to the loss (about 1e-17); the pair found may then differ
+    from the first float maximum by a few ulp in value.
     """
     q = point_scores(w, codes)
     y = as_label_array(y_true)
@@ -175,34 +185,36 @@ def argmax_F_oracle(w, codes, y_true, kind: MeasureKind) -> ArgmaxResult:
         best_a = int(np.argmax(pos_part))
         best_b = int(np.argmax(neg_part))
         best_value = float(pos_part[best_a] + neg_part[best_b])
+    elif n_pos == 0:  # F1 without positives: loss 0 at b = 0, else 1
+        values = 2.0 * neg_prefix + 1.0
+        values[0] = 0.0
+        best_a, best_b = 0, int(np.argmax(values))
+        best_value = float(values[best_b])
     else:
-        neg_linear = 2.0 * neg_prefix
-        b_range = np.arange(n_neg + 1, dtype=np.float64)
-        rows = min(_ORACLE_CHUNK, n_pos + 1)
-        block_buffer = np.empty((rows, n_neg + 1))
-        denom_buffer = np.empty_like(block_buffer)
-        best_value = -np.inf
-        best_a = best_b = 0
-        for a_start in range(0, n_pos + 1, _ORACLE_CHUNK):
-            a = np.arange(a_start, min(a_start + _ORACLE_CHUNK, n_pos + 1))
-            block = block_buffer[: a.size]
-            np.subtract(neg_linear[None, :], (2.0 * pos_prefix[a])[:, None], out=block)
-            if n_pos > 0:
-                # F1 loss inlined: 1 - 2 tp / (2 tp + a + b), denominator
-                # positive everywhere once a positive exists
-                tp2 = 2.0 * (n_pos - a)
-                denom = denom_buffer[: a.size]
-                np.add((tp2 + a)[:, None], b_range[None, :], out=denom)
-                np.divide(tp2[:, None], denom, out=denom)
-                block += 1.0
-                block -= denom
-            else:
-                block += loss_grid(kind, a[:, None], b_range[None, :], n_pos, n_neg)
-            row, col = np.unravel_index(int(np.argmax(block)), block.shape)
-            if float(block[row, col]) > best_value:
-                best_value = float(block[row, col])
-                best_a = int(a[row])
-                best_b = int(col)
+        # one row per a; past n_neg a row reads -inf
+        a = np.arange(n_pos + 1)
+        tp2 = 2.0 * (n_pos - a)
+        offset = tp2 + a
+        pos_linear = 2.0 * pos_prefix
+        rounds = n_neg.bit_length()
+        neg_linear = np.full(1 << rounds, -np.inf)
+        neg_linear[: n_neg + 1] = 2.0 * neg_prefix
+
+        def row_values(b):
+            # this order fixes the bits of max_value; keep it
+            return ((neg_linear[b] - pos_linear) + 1.0) - tp2 / (offset + b)
+
+        # round r tests the step into row_best + 2^r, from both of its sides
+        steps = (1 << np.arange(rounds))[:, None, None] + np.array([[-1], [0]])
+        row_best = np.zeros(n_pos + 1, dtype=np.int64)
+        for step in steps[::-1]:
+            sides = row_best + step
+            values = row_values(sides)
+            np.copyto(row_best, sides[1], where=values[1] > values[0])
+        values = row_values(row_best)
+        best_a = int(np.argmax(values))
+        best_b = int(row_best[best_a])
+        best_value = float(values[best_a])
     representative = y.copy()
     representative[pos_sorted[:best_a]] = -1
     representative[neg_sorted[:best_b]] = 1
@@ -210,7 +222,12 @@ def argmax_F_oracle(w, codes, y_true, kind: MeasureKind) -> ArgmaxResult:
 
 
 def upper_bound(w, codes, y_true, kind: MeasureKind) -> float:
-    """Upper bound of the tuple loss of :func:`predict`: the maximum of F."""
+    """Upper bound of the tuple loss of :func:`predict`: the maximum of F.
+
+    Public API: acceptance criterion 1 calls it and ``bench/tracing.py``
+    times it.  ``fit`` reads ``argmax_F_oracle(...).max_value`` instead, since it also
+    needs the maximizer from the same call.
+    """
     return argmax_F_oracle(w, codes, y_true, kind).max_value
 
 

@@ -75,8 +75,19 @@ class TrainConfig:
     encode_iters: int = 100
 
     def __post_init__(self):
-        if isinstance(self.measure, str):
+        if not isinstance(self.measure, MeasureKind):
             object.__setattr__(self, "measure", MeasureKind.parse(self.measure))
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "bool" and not isinstance(value, bool):
+                raise ValueError(f"{f.name} must be true or false, got {value!r}")
+            if f.type.startswith("int") and value is not None and type(value) is not int:
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            if f.type == "float" and (
+                isinstance(value, bool) or not isinstance(value, (int, float))
+                or not np.isfinite(value)
+            ):
+                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
         if min(self.c1, self.c2, self.c3) < 0:
             raise ValueError("c1, c2, c3 must be nonnegative")
         if self.eta <= 0:
@@ -361,6 +372,21 @@ _TRACE_KEYS = ("reconstruction", "sparsity", "complexity", "surrogate", "objecti
 _CONFIG_FIELDS = {f.name for f in fields(TrainConfig)}
 
 
+def _finite_numbers(values, what: str) -> np.ndarray:
+    """A JSON list of finite numbers as a float array, else ModelFormatError."""
+    if not isinstance(values, list) or not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
+    ):
+        raise ModelFormatError(f"{what} must be a list of numbers")
+    try:
+        array = np.array(values, dtype=np.float64)
+        if np.all(np.isfinite(array)):
+            return array
+    except OverflowError:  # an integer beyond the float range
+        pass
+    raise ModelFormatError(f"{what} must hold finite numbers only")
+
+
 def load_model(blob: bytes) -> Model:
     """Parse and validate a model document produced by :func:`save_model`.
 
@@ -376,7 +402,7 @@ def load_model(blob: bytes) -> Model:
     if not isinstance(document, dict):
         raise ModelFormatError("model document must be a JSON object")
     version = document.get("schema_version")
-    if version not in (1, MODEL_SCHEMA_VERSION):
+    if type(version) is not int or version not in (1, MODEL_SCHEMA_VERSION):
         raise ModelFormatError(
             f"unsupported schema_version {version!r}; expected 1 or {MODEL_SCHEMA_VERSION}"
         )
@@ -391,22 +417,30 @@ def load_model(blob: bytes) -> Model:
         config = TrainConfig(**block)
     except (TypeError, ValueError) as exc:
         raise ModelFormatError(f"invalid config block: {exc}") from None
-    d, m = int(document["d"]), config.dict_size
+    d, m = document["d"], config.dict_size
+    if type(d) is not int or d < 1:
+        raise ModelFormatError(f"d must be a positive integer, got {d!r}")
     if m is None:
         raise ModelFormatError("config block must give dict_size")
-    flat = np.asarray(document["dictionary"], dtype=np.float64)
+    flat = _finite_numbers(document["dictionary"], "dictionary")
     if flat.shape != (d * m,):
         raise ModelFormatError(f"dictionary has {flat.size} numbers, expected {d * m}")
-    weights = np.asarray(document["weights"], dtype=np.float64)
+    weights = _finite_numbers(document["weights"], "weights")
     if weights.shape != (m,):
         raise ModelFormatError(f"weights length {weights.size} does not match m={m}")
-    alphas = np.asarray(document["alphas"], dtype=np.float64)
+    alphas = _finite_numbers(document["alphas"], "alphas")
     if alphas.shape != (m,):
         raise ModelFormatError(f"alphas length {alphas.size} does not match m={m}")
+    if not isinstance(document["trace"], list):
+        raise ModelFormatError("trace must be a list")
     trace = []
     for i, entry in enumerate(document["trace"]):
         if not isinstance(entry, dict) or set(entry) != set(_TRACE_KEYS):
             raise ModelFormatError(f"trace entry {i} must have keys {_TRACE_KEYS}")
-        trace.append(TraceEntry(**{key: float(entry[key]) for key in _TRACE_KEYS}))
-    dictionary = Dictionary(flat.reshape(d, m), config.norm_cap, alphas)
+        values = _finite_numbers([entry[key] for key in _TRACE_KEYS], f"trace entry {i}")
+        trace.append(TraceEntry(*values.tolist()))
+    try:
+        dictionary = Dictionary(flat.reshape(d, m), config.norm_cap, alphas)
+    except ValueError as exc:
+        raise ModelFormatError(f"invalid dictionary: {exc}") from None
     return Model(dictionary, weights, config, tuple(trace))

@@ -158,6 +158,32 @@ class TestPredict:
                    "--out", str(tmp_path / "p.tsv")])
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("dictionary", 0), "x"),
+            (("weights", 0), float("nan")),
+            (("trace", 0, "objective"), [1.0]),
+            (("d",), "three"),
+            (("config", "encode_iters"), 2.5),
+        ],
+        ids=["dictionary-str", "weights-nan", "trace-list", "d-str", "encode_iters-float"],
+    )
+    def test_malformed_model_number_exits_1(self, trained, tmp_path, capsys, path, value):
+        data_path, _, model_path = trained
+        document = json.loads(model_path.read_text())
+        target = document
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(document))
+        out = tmp_path / "p.tsv"
+        rc = main(["predict", "--model", str(bad), "--data", str(data_path), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_version_1_model_predicts(self, tmp_path):
         data = tmp_path / "three.svm"
         data.write_text("+1 1:1.5 2:0.5 3:1.0\n-1 1:-1.0 3:-2.0\n+1 2:2.0\n")
@@ -205,6 +231,13 @@ class TestEval:
                      "--measure", "auc"]) == 0
         out = capsys.readouterr().out.strip().split("\n")
         assert out == [f"auc {0.75!r}"]
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_score_exits_1_with_its_line(self, tmp_path, capsys, bad):
+        truth, preds = self.write_files(tmp_path, [1, -1, 1], [1.0, float(bad), 0.5], [1, -1, 1])
+        rc = main(["eval", "--predictions", str(preds), "--truth", str(truth)])
+        assert rc == 1
+        assert f"line 2: non-finite score '{bad}'" in capsys.readouterr().err
 
     def test_misaligned_exits_2(self, tmp_path, capsys):
         truth, preds = self.write_files(tmp_path, [1, -1], [1.0, -1.0], [1, -1])

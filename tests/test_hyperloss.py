@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sparsetuple.hyperloss import (
     ArgmaxResult,
@@ -15,6 +17,7 @@ from sparsetuple.measures import (
     DegenerateClassError,
     MeasureKind,
     UndefinedTupleLossError,
+    loss_grid,
     tuple_loss,
 )
 
@@ -231,6 +234,79 @@ class TestOracle:
         assert fast.max_value == pytest.approx(brute.max_value, abs=1e-12)
 
 
+def reference_grid_f1(q, y):
+    """The former F1 oracle: every (a, b) cell of the count grid at once.
+
+    Kept as the reference the row search must reproduce bit for bit: it
+    evaluates ``((2 N[b] - 2 P[a]) + 1) - tp2 / ((tp2 + a) + b)`` on the
+    whole grid and takes the first maximum in row-major order.
+    """
+    n_pos = int(np.count_nonzero(y == 1))
+    n_neg = y.size - n_pos
+    pos = np.flatnonzero(y == 1)
+    neg = np.flatnonzero(y == -1)
+    pos_sorted = pos[np.argsort(q[pos], kind="stable")]
+    neg_sorted = neg[np.argsort(-q[neg], kind="stable")]
+    pos_prefix = np.concatenate(([0.0], np.cumsum(q[pos_sorted])))
+    neg_prefix = np.concatenate(([0.0], np.cumsum(q[neg_sorted])))
+    a = np.arange(n_pos + 1)
+    b_range = np.arange(n_neg + 1, dtype=np.float64)
+    block = (2.0 * neg_prefix)[None, :] - (2.0 * pos_prefix[a])[:, None]
+    if n_pos > 0:
+        tp2 = 2.0 * (n_pos - a)
+        block += 1.0
+        block -= tp2[:, None] / ((tp2 + a)[:, None] + b_range[None, :])
+    else:
+        block += loss_grid(MeasureKind.F1, a[:, None], b_range[None, :], n_pos, n_neg)
+    best_a, best_b = np.unravel_index(int(np.argmax(block)), block.shape)
+    representative = y.copy()
+    representative[pos_sorted[:best_a]] = -1
+    representative[neg_sorted[:best_b]] = 1
+    return float(block[best_a, best_b]), (int(best_a), int(best_b)), representative
+
+
+@st.composite
+def tie_heavy_instances(draw, max_n):
+    """Scores k / divisor with few distinct values; truths may be one class."""
+    n = draw(st.integers(1, max_n))
+    divisor = draw(st.sampled_from([1.0, 2.0, 3.0, 7.0, 10.0]))
+    numerators = draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+    labels = draw(st.one_of(
+        st.just([1] * n), st.just([-1] * n),
+        st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n),
+    ))
+    return np.array(numerators) / divisor, np.array(labels, dtype=np.int64)
+
+
+@settings(max_examples=500, deadline=None)
+@given(tie_heavy_instances(max_n=60))
+@example((np.zeros(5), np.array([-1, -1, -1, -1, -1])))
+@example((np.array([0.0, -0.5, -0.5, 1.0]), np.array([-1, -1, -1, -1])))
+def test_f1_row_search_matches_grid_bit_for_bit(instance):
+    q, y = instance
+    value, counts, representative = reference_grid_f1(q, y)
+    result = argmax_F_oracle([1.0], q[None, :], y, MeasureKind.F1)
+    assert np.float64(result.max_value).tobytes() == np.float64(value).tobytes()
+    assert result.counts == counts
+    np.testing.assert_array_equal(result.maximizers[0], representative)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tie_heavy_instances(max_n=12), st.sampled_from(ALL_KINDS))
+def test_oracle_matches_bruteforce_on_tie_heavy_scores(instance, kind):
+    q, y = instance
+    w, S = [1.0], q[None, :]
+    if kind is not MeasureKind.F1 and len(np.unique(y)) < 2:
+        for search in (argmax_F_oracle, argmax_F_bruteforce):
+            with pytest.raises(DegenerateClassError):
+                search(w, S, y, kind)
+        return
+    brute = argmax_F_bruteforce(w, S, y, kind)
+    fast = argmax_F_oracle(w, S, y, kind)
+    assert fast.max_value == pytest.approx(brute.max_value, abs=1e-9)
+    assert F(w, S, y, fast.maximizers[0], kind) == pytest.approx(brute.max_value, abs=1e-9)
+
+
 class TestUpperBound:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_dominates_prediction_loss(self, kind):
@@ -345,12 +421,12 @@ class TestArgmaxResultType:
 
 
 class TestOracleScaling:
-    @pytest.mark.parametrize("kind", ALL_KINDS)
-    def test_ten_thousand_points_under_one_second(self, kind):
+    @staticmethod
+    def assert_warm_call_under_one_second(kind, n, seed):
         import time
 
-        rng = np.random.default_rng(61)
-        n, m = 10_000, 4
+        rng = np.random.default_rng(seed)
+        m = 4
         y = np.where(np.arange(n) % 2 == 0, 1, -1)
         w = rng.uniform(-1, 1, m)
         S = rng.uniform(-1, 1, (m, n))
@@ -360,3 +436,11 @@ class TestOracleScaling:
         elapsed = time.perf_counter() - started
         assert np.isfinite(result.max_value)
         assert elapsed < 1.0
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_ten_thousand_points_under_one_second(self, kind):
+        self.assert_warm_call_under_one_second(kind, 10_000, seed=61)
+
+    def test_f1_two_hundred_thousand_points_under_one_second(self):
+        # the full (a, b) count grid here would hold about 10^10 cells
+        self.assert_warm_call_under_one_second(MeasureKind.F1, 200_000, seed=67)

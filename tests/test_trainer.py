@@ -47,6 +47,16 @@ class TestTrainConfig:
             {"eps": 0.0},
             {"dual_rate": 0.0},
             {"encode_iters": -1},
+            {"encode_iters": 2.5},
+            {"iters": 3.0},
+            {"dict_size": 4.0},
+            {"seed": "7"},
+            {"dual_steps": True},
+            {"eta": float("nan")},
+            {"norm_cap": float("inf")},
+            {"c1": "0.1"},
+            {"eta_backoff": "yes"},
+            {"measure": 3},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -325,6 +335,36 @@ class TestSerialization:
         document = json.loads(save_model(self.make_model()).decode())
         document["config"]["dict_size"] = None
         with pytest.raises(ModelFormatError, match="dict_size"):
+            load_model(json.dumps(document).encode())
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("dictionary", 0), "x", "dictionary must be a list of numbers"),
+            (("dictionary", 0), True, "dictionary must be a list of numbers"),
+            (("weights", 0), float("nan"), "weights must hold finite"),
+            (("alphas", 0), 10**400, "alphas must hold finite"),
+            (("alphas", 0), -1.0, "multipliers must be nonnegative"),
+            (("trace", 0, "objective"), [1.0], "trace entry 0 must be a list of numbers"),
+            (("trace", 1, "surrogate"), float("inf"), "trace entry 1 must hold finite"),
+            (("trace",), 3, "trace must be a list"),
+            (("d",), "three", "d must be a positive integer"),
+            (("d",), 2.5, "d must be a positive integer"),
+            (("schema_version",), True, "schema_version"),
+            (("config", "encode_iters"), 2.5, "encode_iters must be an integer"),
+            (("config", "eta"), float("nan"), "eta must be a finite number"),
+        ],
+        ids=["dictionary-str", "dictionary-bool", "weights-nan", "alphas-huge-int",
+             "alphas-negative", "trace-list", "trace-inf", "trace-not-list", "d-str",
+             "d-float", "version-bool", "encode_iters-float", "eta-nan"],
+    )
+    def test_malformed_number_rejected(self, path, value, message):
+        document = json.loads(save_model(self.make_model()).decode())
+        target = document
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(ModelFormatError, match=message):
             load_model(json.dumps(document).encode())
 
     def test_model_validates_weight_shape(self):
