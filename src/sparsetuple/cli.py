@@ -16,7 +16,7 @@ import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import fields, replace
+from dataclasses import astuple, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +34,7 @@ from .hyperloss import point_scores, predict
 from .trainer import (
     ModelFormatError,
     NumericalDivergenceError,
+    TraceEntry,
     TrainConfig,
     config_document,
     encode,
@@ -73,7 +74,6 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=defaults.seed)
     parser.add_argument("--dual-rate", type=float, default=defaults.dual_rate)
     parser.add_argument("--dual-steps", type=int, default=defaults.dual_steps)
-    parser.add_argument("--encode-iters", type=int, default=defaults.encode_iters)
 
 
 def _config_from_args(args: argparse.Namespace) -> TrainConfig:
@@ -102,12 +102,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
     if args.trace:
         buffer = io.StringIO()
         writer = csv.writer(buffer)
-        writer.writerow(("iteration",) + ("reconstruction", "sparsity", "complexity",
-                                          "surrogate", "objective"))
+        writer.writerow(["iteration"] + [f.name for f in fields(TraceEntry)])
         for i, entry in enumerate(model.trace):
-            writer.writerow((i, repr(entry.reconstruction), repr(entry.sparsity),
-                             repr(entry.complexity), repr(entry.surrogate),
-                             repr(entry.objective)))
+            writer.writerow([i] + [repr(value) for value in astuple(entry)])
         Path(args.trace).write_text(buffer.getvalue(), encoding="utf-8")
     return 0
 

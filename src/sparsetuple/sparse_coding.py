@@ -74,9 +74,9 @@ def code_gradient_batch(elements, X, S, weights, c1, loss_terms) -> np.ndarray:
     ``||x_i - D s_i||^2 + c1 * s_i' diag(u_i) s_i + l_i' s_i`` with the
     reweighting ``u_i`` (column i of ``weights``) and the loss term ``l_i``
     held fixed.  ``X`` is d-by-n, ``S`` and ``weights`` and ``loss_terms``
-    are m-by-n (``loss_terms`` may be a scalar 0 when the label-loss term is
-    absent).  Note the reconstruction part contributes ``-2 D' (x - D s)``;
-    a plus sign there would ascend the reconstruction error.
+    are m-by-n.  Note the reconstruction part contributes
+    ``-2 D' (x - D s)``; a plus sign there would ascend the reconstruction
+    error.
     """
     return -2.0 * elements.T @ (X - elements @ S) + 2.0 * c1 * weights * S + loss_terms
 

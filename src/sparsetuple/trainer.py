@@ -6,6 +6,9 @@ and the constraint multipliers (projected dual ascent).  The maximizer tie
 set that drives the loss gradients is recomputed once per iteration from the
 previous iterate's codes and weights and held fixed inside the iteration;
 the search that scores the end of one iteration supplies it to the next.
+
+Test-time codes are the ridge codes ``(D'D + c1 I)^-1 D'x`` of the frozen
+dictionary, the same map that starts the training codes.
 """
 
 from __future__ import annotations
@@ -72,7 +75,6 @@ class TrainConfig:
     seed: int = 0
     dual_rate: float = 0.1
     dual_steps: int = 50
-    encode_iters: int = 100
 
     def __post_init__(self):
         if not isinstance(self.measure, MeasureKind):
@@ -102,8 +104,6 @@ class TrainConfig:
             raise ValueError("eps must be positive")
         if self.dual_rate <= 0 or self.dual_steps < 1:
             raise ValueError("dual_rate must be positive and dual_steps >= 1")
-        if self.encode_iters < 0:
-            raise ValueError("encode_iters must be >= 0")
 
     def resolved_dict_size(self, n: int, d: int) -> int:
         return self.dict_size if self.dict_size is not None else min(2 * d, n)
@@ -314,23 +314,18 @@ def fit(data: Dataset, config: TrainConfig, observer=None) -> Model:
 def encode(dictionary: Dictionary, features, config: TrainConfig) -> np.ndarray:
     """Codes for unlabeled points under a frozen dictionary.
 
-    Starts from the ridge system and runs ``config.encode_iters`` gradient
-    steps of the coding subproblem with the label-loss term absent.  Fully
-    deterministic.
+    Returns the ridge codes ``(D'D + c1 I)^-1 D'x``, one column per row of
+    ``features``: the minimizer of ``||x - D s||^2 + c1 ||s||^2``.  They are
+    dense, not exactly sparse, as are the codes ``fit`` trains; with
+    ``c1 = 0`` and a rank-deficient dictionary they are the least-squares
+    solution.  Fully deterministic.
     """
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != dictionary.d:
         raise ValueError(
             f"dimension mismatch: features {X.shape} vs dictionary with d={dictionary.d}"
         )
-    Xt = X.T
-    elements = dictionary.elements
-    codes = ridge_codes(elements, Xt, config.c1)
-    for _ in range(config.encode_iters):
-        reweights = sparse_coding.smoothing_weights(codes, config.eps)
-        grads = sparse_coding.code_gradient_batch(elements, Xt, codes, reweights, config.c1, 0.0)
-        codes = codes - config.eta * grads
-    return codes
+    return ridge_codes(dictionary.elements, X.T, config.c1)
 
 
 def config_document(config: TrainConfig) -> dict:
@@ -354,22 +349,14 @@ def save_model(model: Model) -> bytes:
         "dictionary": [float(v) for v in dictionary.elements.ravel(order="C")],
         "weights": [float(v) for v in model.weights],
         "alphas": [float(v) for v in dictionary.multipliers],
-        "trace": [
-            {
-                "reconstruction": entry.reconstruction,
-                "sparsity": entry.sparsity,
-                "complexity": entry.complexity,
-                "surrogate": entry.surrogate,
-                "objective": entry.objective,
-            }
-            for entry in model.trace
-        ],
+        "trace": [asdict(entry) for entry in model.trace],
     }
     return (json.dumps(document, indent=2) + "\n").encode("utf-8")
 
 
-_TRACE_KEYS = ("reconstruction", "sparsity", "complexity", "surrogate", "objective")
-_CONFIG_FIELDS = {f.name for f in fields(TrainConfig)}
+_TRACE_KEYS = tuple(f.name for f in fields(TraceEntry))
+# Config keys of earlier releases; model files that carry them still load.
+_RETIRED_CONFIG_KEYS = frozenset({"tie_policy", "encode_iters"})
 
 
 def _finite_numbers(values, what: str) -> np.ndarray:
@@ -391,8 +378,9 @@ def load_model(blob: bytes) -> Model:
     """Parse and validate a model document produced by :func:`save_model`.
 
     Version 1 documents also load: their top-level ``m``, ``c`` and
-    ``measure`` repeat the config block and are ignored, as is the config's
-    retired tie-set policy knob.
+    ``measure`` repeat the config block and are ignored.  Retired config
+    keys (the tie-set policy and the test-time step count) are ignored in
+    every version; any other unknown config key is an error.
     """
     try:
         text = blob.decode("utf-8") if isinstance(blob, bytes) else str(blob)
@@ -411,8 +399,8 @@ def load_model(blob: bytes) -> Model:
     if missing:
         raise ModelFormatError(f"model document missing fields: {missing}")
     block = document["config"]
-    if version == 1 and isinstance(block, dict):
-        block = {key: value for key, value in block.items() if key in _CONFIG_FIELDS}
+    if isinstance(block, dict):
+        block = {key: value for key, value in block.items() if key not in _RETIRED_CONFIG_KEYS}
     try:
         config = TrainConfig(**block)
     except (TypeError, ValueError) as exc:

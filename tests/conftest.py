@@ -13,6 +13,9 @@ ALL_KINDS = (MeasureKind.F1, MeasureKind.PRBEP, MeasureKind.AUC)
 
 # A schema-version-1 model (d=3, m=4, 3 iterations) written before version 2.
 MODEL_V1 = Path(__file__).parent / "data" / "model_v1.json"
+# A schema-version-2 model (d=3, m=4, 3 iterations) whose config still carries
+# the retired ``encode_iters`` key.
+MODEL_V2 = Path(__file__).parent / "data" / "model_v2.json"
 
 
 def make_gaussian_dataset(seed=12345, n=200, d=10, separation=1.5) -> Dataset:

@@ -8,7 +8,7 @@ from sparsetuple.cli import SWEEP_HEADER, main
 from sparsetuple.dataio import kfold_split, serialize_svmlight
 from sparsetuple.trainer import load_model
 
-from conftest import MODEL_V1, make_gaussian_dataset
+from conftest import MODEL_V1, MODEL_V2, make_gaussian_dataset
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +50,10 @@ class TestTrain:
         assert len(document["trace"]) == 20
         trace_rows = trace_path.read_text().strip().split("\n")
         assert len(trace_rows) == 21  # header + one row per iteration
+        names = ["reconstruction", "sparsity", "complexity", "surrogate", "objective"]
+        assert trace_rows[0] == ",".join(["iteration"] + names)
+        last = document["trace"][19]
+        assert trace_rows[20] == ",".join(["19"] + [repr(last[name]) for name in names])
 
     def test_rerun_is_byte_identical(self, data_file, tmp_path):
         data_path, _ = data_file
@@ -165,9 +169,11 @@ class TestPredict:
             (("weights", 0), float("nan")),
             (("trace", 0, "objective"), [1.0]),
             (("d",), "three"),
-            (("config", "encode_iters"), 2.5),
+            (("config", "dual_steps"), 2.5),
+            (("config", "bogus"), 1),
         ],
-        ids=["dictionary-str", "weights-nan", "trace-list", "d-str", "encode_iters-float"],
+        ids=["dictionary-str", "weights-nan", "trace-list", "d-str", "dual_steps-float",
+             "unknown-config-key"],
     )
     def test_malformed_model_number_exits_1(self, trained, tmp_path, capsys, path, value):
         data_path, _, model_path = trained
@@ -191,6 +197,21 @@ class TestPredict:
         rc = main(["predict", "--model", str(MODEL_V1), "--data", str(data), "--out", str(out)])
         assert rc == 0
         assert len(out.read_text().strip().split("\n")) == 3
+
+    def test_version_2_model_with_retired_key_predicts_ridge_scores(self, tmp_path):
+        # the file's encode_iters is ignored: scores are w' of the ridge codes
+        X = np.array([[1.5, 0.5, 1.0], [-1.0, 0.0, -2.0], [0.0, 2.0, 0.0]])
+        data = tmp_path / "three.svm"
+        data.write_text("+1 1:1.5 2:0.5 3:1.0\n-1 1:-1.0 3:-2.0\n+1 2:2.0\n")
+        out = tmp_path / "p.tsv"
+        rc = main(["predict", "--model", str(MODEL_V2), "--data", str(data), "--out", str(out)])
+        assert rc == 0
+        document = json.loads(MODEL_V2.read_text())
+        m = document["config"]["dict_size"]
+        D = np.array(document["dictionary"]).reshape(document["d"], m)
+        codes = np.linalg.solve(D.T @ D + document["config"]["c1"] * np.eye(m), D.T @ X.T)
+        scores = [float(line.split("\t")[1]) for line in out.read_text().strip().split("\n")]
+        np.testing.assert_allclose(scores, np.array(document["weights"]) @ codes, rtol=1e-12)
 
 
 class TestEval:

@@ -125,21 +125,21 @@ class TestCodeGradient:
 
 
 class TestCodeStep:
-    """The gradient step on codes, as :func:`encode` takes it."""
+    """Codes of the coding subproblem: the ridge codes :func:`encode` returns
+    and the gradient step :func:`fit` takes."""
 
     def test_zero_gradient_keeps_code(self):
-        # c1 = 0 and D = I: the ridge start is x itself, a stationary point
+        # c1 = 0 and D = I: the ridge code is x itself, a stationary point
         x = np.array([[1.0, -2.0]])
         dictionary = Dictionary(np.eye(2), 1.0, np.zeros(2))
-        codes = encode(dictionary, x, TrainConfig(c1=0.0, eta=0.1, encode_iters=5))
+        codes = encode(dictionary, x, TrainConfig(c1=0.0))
         np.testing.assert_array_equal(codes[:, 0], x[0])
 
     def test_arithmetic(self):
-        # D = 1, x = 4, c1 = 1: ridge start s = 2, reweighting 1/2, gradient
-        # -2 (4 - 2) + 2 * 1 * 0.5 * 2 = -2, so one step of 0.25 gives 2.5
+        # D = 1, x = 4, c1 = 1: the ridge code is 4 / (1 + 1) = 2
         dictionary = Dictionary(np.ones((1, 1)), 1.0, np.zeros(1))
-        codes = encode(dictionary, [[4.0]], TrainConfig(c1=1.0, eta=0.25, encode_iters=1))
-        assert codes[0, 0] == pytest.approx(2.5, abs=1e-12)
+        codes = encode(dictionary, [[4.0]], TrainConfig(c1=1.0))
+        assert codes[0, 0] == pytest.approx(2.0, abs=1e-12)
 
     def test_converges_on_quadratic(self):
         # repeated steps on the pure reconstruction quadratic reach least squares

@@ -7,7 +7,7 @@ from sparsetuple import hyperloss
 from sparsetuple.dataio import Dataset
 from sparsetuple.hyperloss import predict
 from sparsetuple.measures import DegenerateClassError, MeasureKind, tuple_loss
-from sparsetuple.sparse_coding import solve_dictionary
+from sparsetuple.sparse_coding import Dictionary, solve_dictionary
 from sparsetuple.trainer import (
     Model,
     ModelFormatError,
@@ -20,7 +20,7 @@ from sparsetuple.trainer import (
     save_model,
 )
 
-from conftest import MODEL_V1, make_gaussian_dataset
+from conftest import MODEL_V1, MODEL_V2, make_gaussian_dataset
 
 
 def small_dataset(seed=0, n=40, d=5):
@@ -46,8 +46,8 @@ class TestTrainConfig:
             {"norm_cap": 0.0},
             {"eps": 0.0},
             {"dual_rate": 0.0},
-            {"encode_iters": -1},
-            {"encode_iters": 2.5},
+            {"dual_steps": -1},
+            {"dual_steps": 2.5},
             {"iters": 3.0},
             {"dict_size": 4.0},
             {"seed": "7"},
@@ -230,21 +230,32 @@ class TestFit:
 
 
 class TestEncode:
-    def test_training_point_reconstruction_matches(self):
-        # long decoupled run so training codes and fresh encoding both sit at
-        # the coding subproblem optimum for the final dictionary
-        ds = make_gaussian_dataset(seed=12345, n=120, d=8)
-        cfg = TrainConfig(
-            c1=0.05, c3=0.0, eta=0.05, iters=1000, encode_iters=1000, dict_size=6, seed=3
-        )
-        model = fit(ds, cfg)
-        i = 7
-        x = ds.features[i]
-        codes = encode(model.dictionary, ds.features[i : i + 1], cfg)
-        D = model.dictionary.elements
-        err_train = float(np.sum((x - D @ model.training_codes[:, i]) ** 2))
-        err_encoded = float(np.sum((x - D @ codes[:, 0]) ** 2))
-        assert abs(err_train - err_encoded) <= 1e-3
+    def test_ridge_stationarity(self):
+        # the codes minimize ||x - D s||^2 + c1 ||s||^2, so its gradient vanishes
+        rng = np.random.default_rng(43)
+        for _ in range(20):
+            d = int(rng.integers(1, 9))
+            m = int(rng.integers(1, 9))
+            n = int(rng.integers(1, 6))
+            c1 = float(rng.uniform(0.01, 2.0))
+            D = rng.normal(size=(d, m))
+            X = rng.normal(size=(d, n))
+            codes = encode(Dictionary(D, 1.0, np.zeros(m)), X.T, TrainConfig(c1=c1))
+            terms = (2.0 * D.T @ D @ codes, -2.0 * D.T @ X, 2.0 * c1 * codes)
+            scale = sum(np.linalg.norm(term) for term in terms)
+            assert np.linalg.norm(sum(terms)) <= 1e-10 * scale
+
+    def test_singular_fallback_reconstructs_exactly(self):
+        # c1 = 0 with a duplicated column makes D'D singular, so the solve
+        # raises and least squares takes over; 0/1 entries keep the
+        # elimination exact, so the solve raises on any LAPACK
+        D = np.array([[1.0, 0.0, 1.0, 1.0], [0.0, 1.0, 0.0, 1.0], [0.0, 0.0, 0.0, 0.0]])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(D.T @ D, D.T @ np.ones(3))
+        x = np.random.default_rng(47).normal(size=(3, 5))
+        x[2] = 0.0  # inside the span of D
+        codes = encode(Dictionary(D, 1.0, np.zeros(4)), x.T, TrainConfig(c1=0.0))
+        np.testing.assert_allclose(D @ codes, x, rtol=0, atol=1e-12)
 
     def test_zero_input_gives_zero_code(self):
         ds = small_dataset()
@@ -292,6 +303,22 @@ class TestSerialization:
         document["schema_version"] = 3
         with pytest.raises(ModelFormatError, match="schema_version"):
             load_model(json.dumps(document).encode())
+
+    def test_version_2_with_retired_key_loads_and_resaves_without_it(self):
+        blob = MODEL_V2.read_bytes()
+        assert json.loads(blob)["config"]["encode_iters"] == 100
+        model = load_model(blob)
+        assert (model.dictionary.d, model.dictionary.m, len(model.trace)) == (3, 4, 3)
+        resaved = save_model(model)
+        assert "encode_iters" not in json.loads(resaved)["config"]
+        assert save_model(load_model(resaved)) == resaved
+
+    def test_unknown_config_key_rejected(self):
+        for blob in (save_model(self.make_model()), MODEL_V1.read_bytes()):
+            document = json.loads(blob)
+            document["config"]["bogus"] = 1
+            with pytest.raises(ModelFormatError, match="bogus"):
+                load_model(json.dumps(document).encode())
 
     def test_version_1_loads_and_resaves_as_version_2(self):
         blob = MODEL_V1.read_bytes()
@@ -351,12 +378,12 @@ class TestSerialization:
             (("d",), "three", "d must be a positive integer"),
             (("d",), 2.5, "d must be a positive integer"),
             (("schema_version",), True, "schema_version"),
-            (("config", "encode_iters"), 2.5, "encode_iters must be an integer"),
+            (("config", "dual_steps"), 2.5, "dual_steps must be an integer"),
             (("config", "eta"), float("nan"), "eta must be a finite number"),
         ],
         ids=["dictionary-str", "dictionary-bool", "weights-nan", "alphas-huge-int",
              "alphas-negative", "trace-list", "trace-inf", "trace-not-list", "d-str",
-             "d-float", "version-bool", "encode_iters-float", "eta-nan"],
+             "d-float", "version-bool", "dual_steps-float", "eta-nan"],
     )
     def test_malformed_number_rejected(self, path, value, message):
         document = json.loads(save_model(self.make_model()).decode())
