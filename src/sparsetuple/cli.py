@@ -72,8 +72,8 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                         help="squared-norm cap per dictionary element")
     parser.add_argument("--eps", type=float, default=defaults.eps, help="reweighting floor")
     parser.add_argument("--seed", type=int, default=defaults.seed)
-    parser.add_argument("--dual-rate", type=float, default=defaults.dual_rate)
-    parser.add_argument("--dual-steps", type=int, default=defaults.dual_steps)
+    parser.add_argument("--dual-steps", type=int, default=defaults.dual_steps,
+                        help="Newton step budget of each norm-cap multiplier ascent")
 
 
 def _config_from_args(args: argparse.Namespace) -> TrainConfig:
@@ -96,7 +96,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     if missed:
         elements = model.dictionary.elements
         ratio = float(np.sum(elements * elements, axis=0).max()) / config.norm_cap
-        print(f"warning: dual ascent missed the norm cap in {missed} of "
+        print(f"warning: dual ascent missed the norm cap's KKT tolerance in {missed} of "
               f"{len(model.ascent_converged)} iterations; largest squared column norm "
               f"is {ratio:.4f} x --norm-cap", file=sys.stderr)
     if args.trace:

@@ -74,7 +74,8 @@ def as_label_array(labels) -> np.ndarray:
     arr = np.asarray(labels)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("labels must be a nonempty 1-D sequence")
-    if not np.all(np.isin(arr, (-1, 1))):
+    # Text never equals a number, and comparing it with one warns on numpy 1.24.
+    if arr.dtype.kind in "US" or not np.all((arr == 1) | (arr == -1)):
         raise ValueError("labels must contain only +1 and -1")
     return arr.astype(np.int64, copy=False)
 

@@ -1,8 +1,10 @@
 """Alternating training loop, test-time encoding, and model serialization.
 
-One outer iteration updates, in order: the dictionary (closed form), every
-code (one gradient step each), the predictor weights (one gradient step),
-and the constraint multipliers (projected dual ascent).  The maximizer tie
+One outer iteration updates, in order: every code (one gradient step each),
+the predictor weights (one gradient step), and the constraint multipliers
+with the dictionary they define (projected Newton ascent on the dual).  The
+next iteration, and the saved model, use that dictionary; the first uses the
+closed-form solve at the initial codes and multipliers.  The maximizer tie
 set that drives the loss gradients is recomputed once per iteration from the
 previous iterate's codes and weights and held fixed inside the iteration;
 the search that scores the end of one iteration supplies it to the next.
@@ -73,7 +75,6 @@ class TrainConfig:
     eps: float = 1e-8
     measure: MeasureKind = MeasureKind.F1
     seed: int = 0
-    dual_rate: float = 0.1
     dual_steps: int = 50
 
     def __post_init__(self):
@@ -102,8 +103,8 @@ class TrainConfig:
             raise ValueError("norm_cap must be positive")
         if self.eps <= 0:
             raise ValueError("eps must be positive")
-        if self.dual_rate <= 0 or self.dual_steps < 1:
-            raise ValueError("dual_rate must be positive and dual_steps >= 1")
+        if self.dual_steps < 1:
+            raise ValueError("dual_steps must be >= 1")
 
     def resolved_dict_size(self, n: int, d: int) -> int:
         return self.dict_size if self.dict_size is not None else min(2 * d, n)
@@ -126,7 +127,7 @@ class Model:
 
     ``training_codes`` is the final code matrix of the training run and
     ``ascent_converged`` holds, per iteration, whether the multiplier ascent
-    brought every column within the norm cap; both are kept in memory for
+    met its KKT tolerance on the norm caps; both are kept in memory for
     inspection but are not part of the serialized schema.
     """
 
@@ -225,9 +226,9 @@ def fit(data: Dataset, config: TrainConfig, observer=None) -> Model:
     """Run the full alternating loop for ``config.iters`` outer iterations.
 
     ``observer``, when given, is called as ``observer(stage, iteration)``
-    after each variable update with stage one of ``dictionary``, ``codes``,
-    ``weights``, ``multipliers``.  Fixed seeds make the run bitwise
-    reproducible.
+    with stage ``dictionary`` once the iteration's dictionary is in place,
+    then ``codes``, ``weights`` and ``multipliers`` after each update.  Fixed
+    seeds make the run bitwise reproducible.
     """
     y = data.labels
     n_pos = int(np.count_nonzero(y == 1))
@@ -242,7 +243,7 @@ def fit(data: Dataset, config: TrainConfig, observer=None) -> Model:
     dictionary, codes, weights = initialize(data, config, rng)
     alphas = dictionary.multipliers
     X = data.features.T
-    elements = dictionary.elements
+    elements = sparse_coding.solve_dictionary(X, codes, alphas)
     eta = config.eta
     halvings = 0
     previous_objective = np.inf
@@ -250,12 +251,6 @@ def fit(data: Dataset, config: TrainConfig, observer=None) -> Model:
     converged: list[bool] = []
     result = hyperloss.argmax_F_oracle(weights, codes, y, config.measure)
     for iteration in range(config.iters):
-        try:
-            elements = sparse_coding.solve_dictionary(X, codes, alphas)
-        except sparse_coding.SingularGramError:
-            if _codes_blown(codes, X):
-                raise NumericalDivergenceError(iteration) from None
-            raise
         if observer is not None:
             observer("dictionary", iteration)
 
@@ -292,8 +287,8 @@ def fit(data: Dataset, config: TrainConfig, observer=None) -> Model:
         _ensure_finite(iteration, elements, codes, weights)
 
         try:
-            alphas, ascent_ok = sparse_coding.dual_ascent_alphas(
-                X, codes, config.norm_cap, alphas, config.dual_rate, config.dual_steps
+            alphas, ascent_ok, elements = sparse_coding.dual_ascent_alphas(
+                X, codes, config.norm_cap, alphas, config.dual_steps
             )
         except sparse_coding.SingularGramError:
             if _codes_blown(codes, X):
@@ -301,7 +296,7 @@ def fit(data: Dataset, config: TrainConfig, observer=None) -> Model:
             raise
         if observer is not None:
             observer("multipliers", iteration)
-        _ensure_finite(iteration, alphas)
+        _ensure_finite(iteration, alphas, elements)
 
         trace.append(entry)
         converged.append(ascent_ok)
@@ -356,7 +351,7 @@ def save_model(model: Model) -> bytes:
 
 _TRACE_KEYS = tuple(f.name for f in fields(TraceEntry))
 # Config keys of earlier releases; model files that carry them still load.
-_RETIRED_CONFIG_KEYS = frozenset({"tie_policy", "encode_iters"})
+_RETIRED_CONFIG_KEYS = frozenset({"tie_policy", "encode_iters", "dual_rate"})
 
 
 def _finite_numbers(values, what: str) -> np.ndarray:
@@ -379,8 +374,9 @@ def load_model(blob: bytes) -> Model:
 
     Version 1 documents also load: their top-level ``m``, ``c`` and
     ``measure`` repeat the config block and are ignored.  Retired config
-    keys (the tie-set policy and the test-time step count) are ignored in
-    every version; any other unknown config key is an error.
+    keys (the tie-set policy, the test-time step count, the fixed ascent
+    rate) are ignored in every version; any other unknown config key is an
+    error.
     """
     try:
         text = blob.decode("utf-8") if isinstance(blob, bytes) else str(blob)

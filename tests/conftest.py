@@ -18,10 +18,10 @@ MODEL_V1 = Path(__file__).parent / "data" / "model_v1.json"
 MODEL_V2 = Path(__file__).parent / "data" / "model_v2.json"
 
 
-def make_gaussian_dataset(seed=12345, n=200, d=10, separation=1.5) -> Dataset:
-    """Balanced two-Gaussian data with class means at +/- separation."""
+def make_gaussian_dataset(seed=12345, n=200, d=10, separation=1.5, n_pos=None) -> Dataset:
+    """Two-Gaussian data with class means at +/- separation, balanced by default."""
     rng = np.random.default_rng(seed)
-    half = n // 2
+    half = n // 2 if n_pos is None else n_pos
     pos = rng.normal(loc=separation, scale=1.0, size=(half, d))
     neg = rng.normal(loc=-separation, scale=1.0, size=(n - half, d))
     features = np.vstack([pos, neg])

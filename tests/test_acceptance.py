@@ -159,8 +159,8 @@ def test_criterion_4_dictionary_optimality():
         worst_residual = max(worst_residual, residual)
         assert residual <= 1e-8
 
-        converged_alphas, converged = dual_ascent_alphas(
-            X, S, 1.0, np.full(m, 1e-3), rate=0.2, steps=4000
+        converged_alphas, converged, _ = dual_ascent_alphas(
+            X, S, 1.0, np.full(m, 1e-3), steps=4000
         )
         assert converged
         D = solve_dictionary(X, S, converged_alphas)

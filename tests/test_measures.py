@@ -8,6 +8,7 @@ from sparsetuple.measures import (
     DegenerateClassError,
     MeasureKind,
     UndefinedTupleLossError,
+    as_label_array,
     auc_from_scores,
     confusion_counts,
     loss_from_counts,
@@ -27,6 +28,43 @@ class TestMeasureKind:
     def test_parse_rejects_unknown(self):
         with pytest.raises(ValueError, match="unknown measure"):
             MeasureKind.parse("mcc")
+
+
+class TestAsLabelArray:
+    @pytest.mark.parametrize(
+        "labels, expected",
+        [
+            ([1, -1, 1], [1, -1, 1]),
+            (np.array([-1, -1], dtype=np.int8), [-1, -1]),
+            ([1.0, -1.0], [1, -1]),
+            (np.array([True, True]), [1, 1]),
+            (np.array([1, -1], dtype=object), [1, -1]),
+        ],
+        ids=["int-list", "int8", "float", "bool", "object-ints"],
+    )
+    def test_accepts(self, labels, expected):
+        arr = as_label_array(labels)
+        assert arr.dtype == np.int64
+        np.testing.assert_array_equal(arr, expected)
+
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            [1, 0, -1],
+            [1, 2],
+            [1.0, float("nan")],
+            np.array([True, False]),
+            ["1", "-1"],
+            np.array([b"1"]),
+            np.array(["a", "b"], dtype=object),
+            [[1, -1], [-1, 1]],
+            [],
+        ],
+        ids=["zero", "two", "nan", "false", "str", "bytes", "object-str", "2-d", "empty"],
+    )
+    def test_rejects(self, labels):
+        with pytest.raises(ValueError, match="labels"):
+            as_label_array(labels)
 
 
 class TestConfusionCounts:

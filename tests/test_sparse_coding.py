@@ -192,7 +192,7 @@ class TestDualAscent:
         # tiny data: unconstrained dictionary already satisfies the cap
         X = np.array([[0.1, -0.1]])
         S = np.array([[1.0, -1.0]])
-        alphas, converged = dual_ascent_alphas(X, S, norm_cap=1.0, alphas0=np.zeros(1))
+        alphas, converged, _ = dual_ascent_alphas(X, S, norm_cap=1.0, alphas0=np.zeros(1))
         assert converged
         np.testing.assert_array_equal(alphas, [0.0])
 
@@ -201,8 +201,8 @@ class TestDualAscent:
         # multiplier is 1 and the implied element has unit squared norm
         X = np.array([[2.0]])
         S = np.array([[1.0]])
-        alphas, converged = dual_ascent_alphas(
-            X, S, norm_cap=1.0, alphas0=np.array([1e-3]), rate=0.2, steps=5000
+        alphas, converged, _ = dual_ascent_alphas(
+            X, S, norm_cap=1.0, alphas0=np.array([1e-3]), steps=5000
         )
         assert converged
         assert alphas[0] == pytest.approx(1.0, abs=1e-4)
@@ -229,20 +229,83 @@ class TestDualAscent:
             numeric = central_difference(dual, alphas, h=1e-6)
             np.testing.assert_allclose(analytic, numeric, rtol=1e-5, atol=1e-7)
 
-    def test_returns_best_iterate_with_flag_when_budget_too_small(self):
+    def test_reports_miss_when_budget_too_small(self):
         X = np.array([[2.0]])
         S = np.array([[1.0]])
-        alphas, converged = dual_ascent_alphas(
-            X, S, norm_cap=1.0, alphas0=np.array([1e-3]), rate=0.01, steps=3
+        alphas, converged, _ = dual_ascent_alphas(
+            X, S, norm_cap=1.0, alphas0=np.array([1e-3]), steps=3
         )
         assert not converged
         assert alphas[0] >= 0.0
 
+    @pytest.mark.parametrize("start", ["cold", "warm"])
+    def test_newton_meets_kkt_on_mixed_caps(self, start):
+        # The cap is the median unconstrained squared column norm, so some
+        # caps bind (alpha_j > 0) and some stay slack (alpha_j = 0).  A warm
+        # start is the answer for nearby codes, as in the training loop.
+        # Newton steps need at most 9 (cold) and 4 (warm) steps here.
+        rng = np.random.default_rng(1201)
+        steps = 12 if start == "cold" else 6
+        binding = slack = 0
+        for _ in range(50):
+            d, m = int(rng.integers(2, 8)), int(rng.integers(2, 9))
+            n = int(rng.integers(m + 5, 60))
+            X = rng.uniform(0.5, 3.0) * rng.normal(size=(d, n))
+            S = rng.uniform(0.2, 2.0, (m, 1)) * rng.normal(size=(m, n))
+            cap = float(np.median(np.sum(solve_dictionary(X, S, np.zeros(m)) ** 2, axis=0)))
+            alphas0 = np.zeros(m)
+            if start == "warm":
+                nearby = S + 0.05 * rng.normal(size=S.shape)
+                alphas0, nearby_converged, _ = dual_ascent_alphas(X, nearby, cap, alphas0)
+                assert nearby_converged
+            alphas, converged, elements = dual_ascent_alphas(X, S, cap, alphas0, steps=steps)
+            grad = np.sum(elements * elements, axis=0) - cap
+            assert converged
+            assert np.all(alphas >= 0)
+            assert grad.max() <= 1e-6
+            assert np.all(np.abs(grad[alphas > 0]) <= 1e-6)
+            np.testing.assert_allclose(elements, solve_dictionary(X, S, alphas), rtol=0, atol=1e-10)
+            binding += np.count_nonzero(alphas > 0)
+            slack += np.count_nonzero(alphas == 0)
+        assert binding > 0 and slack > 0
+
+    def test_single_element_matches_bisection(self):
+        # With m = 1 the squared norm of d(alpha) falls monotonically in
+        # alpha, so bisection on ||d(alpha)||^2 = cap finds the multiplier.
+        rng = np.random.default_rng(1203)
+        for _ in range(20):
+            X = rng.uniform(0.5, 3.0) * rng.normal(size=(4, 30))
+            S = rng.normal(size=(1, 30))
+            cap = rng.uniform(0.1, 0.9) * float(np.sum(solve_dictionary(X, S, np.zeros(1)) ** 2))
+
+            def excess(alpha):
+                return float(np.sum(solve_dictionary(X, S, np.array([alpha])) ** 2)) - cap
+
+            low, high = 0.0, 1.0
+            while excess(high) > 0:
+                high *= 2.0
+            for _ in range(100):
+                middle = 0.5 * (low + high)
+                low, high = (middle, high) if excess(middle) > 0 else (low, middle)
+            # A tight tolerance, so the multiplier itself must agree closely.
+            alphas, converged, _ = dual_ascent_alphas(X, S, cap, np.zeros(1), tol=1e-10)
+            assert converged
+            assert alphas[0] == pytest.approx(0.5 * (low + high), rel=1e-7)
+
+    @pytest.mark.parametrize("alphas0", [0.0, 1e-3])
+    def test_singular_system_raises(self, alphas0):
+        # Equal code rows make S S' singular: at once from zero multipliers,
+        # and from small ones once the slack caps project them to zero.
+        S = np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
+        X = np.array([[0.01, 0.0, -0.01]])
+        with pytest.raises(SingularGramError, match="multiplier floor"):
+            dual_ascent_alphas(X, S, 1.0, np.full(2, alphas0))
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             dual_ascent_alphas(np.ones((1, 1)), np.ones((1, 1)), 1.0, np.array([-0.1]))
-        with pytest.raises(ValueError):
-            dual_ascent_alphas(np.ones((1, 1)), np.ones((1, 1)), 1.0, np.zeros(1), rate=0.0)
+        with pytest.raises(ValueError, match="one nonnegative initial multiplier"):
+            dual_ascent_alphas(np.ones((1, 3)), np.ones((3, 3)), 1.0, np.zeros(1))
 
 
 class TestDictionaryType:

@@ -45,7 +45,7 @@ class TestTrainConfig:
             {"dict_size": 0},
             {"norm_cap": 0.0},
             {"eps": 0.0},
-            {"dual_rate": 0.0},
+            {"dual_steps": 0},
             {"dual_steps": -1},
             {"dual_steps": 2.5},
             {"iters": 3.0},
@@ -210,6 +210,27 @@ class TestFit:
         objectives = [entry.objective for entry in tamed.trace]
         assert np.all(np.isfinite(objectives))
         assert objectives[-1] <= objectives[0]
+
+    @pytest.mark.parametrize(
+        "data, config",
+        [
+            (make_gaussian_dataset(),
+             TrainConfig(c1=0.1, c2=0.01, c3=1.0, eta=0.01, iters=100, dict_size=20, seed=7)),
+            (make_gaussian_dataset(seed=5, n=300, d=8, separation=0.3, n_pos=60),
+             TrainConfig(iters=6)),
+        ],
+        ids=["gate", "imbalanced"],
+    )
+    def test_saved_dictionary_is_the_one_its_multipliers_define(self, data, config):
+        # The imbalanced case missed the cap in 6 of 6 fixed-rate ascents.
+        model = fit(data, config)
+        assert all(model.ascent_converged)
+        elements = model.dictionary.elements
+        assert np.sum(elements * elements, axis=0).max() <= config.norm_cap + 1e-6
+        expected = solve_dictionary(
+            data.features.T, model.training_codes, model.dictionary.multipliers
+        )
+        np.testing.assert_allclose(elements, expected, rtol=0, atol=1e-10)
 
     def test_rank_limited_least_squares_optimum(self):
         # with no sparsity or loss terms, one dictionary solve plus a code
