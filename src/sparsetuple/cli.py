@@ -63,17 +63,12 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--c2", type=float, default=defaults.c2, help="predictor complexity weight")
     parser.add_argument("--c3", type=float, default=defaults.c3, help="loss bound weight")
     parser.add_argument("--eta", type=float, default=defaults.eta, help="gradient step size")
-    parser.add_argument("--eta-backoff", action="store_true",
-                        help="halve the step size whenever a step raises the objective")
     parser.add_argument("--iters", type=int, default=defaults.iters, help="outer iterations")
     parser.add_argument("--dict-size", type=int, default=None,
                         help="dictionary size m (default min(2d, n))")
     parser.add_argument("--norm-cap", type=float, default=defaults.norm_cap,
                         help="squared-norm cap per dictionary element")
-    parser.add_argument("--eps", type=float, default=defaults.eps, help="reweighting floor")
     parser.add_argument("--seed", type=int, default=defaults.seed)
-    parser.add_argument("--dual-steps", type=int, default=defaults.dual_steps,
-                        help="Newton step budget of each norm-cap multiplier ascent")
 
 
 def _config_from_args(args: argparse.Namespace) -> TrainConfig:

@@ -30,7 +30,6 @@ __all__ = [
     "UndefinedTupleLossError",
     "as_label_array",
     "confusion_counts",
-    "loss_from_counts",
     "loss_grid",
     "tuple_loss",
     "auc_from_scores",
@@ -126,19 +125,12 @@ def loss_grid(kind: MeasureKind, fn, fp, n_pos: int, n_neg: int) -> np.ndarray:
     raise ValueError(f"unknown measure kind {kind!r}")
 
 
-def loss_from_counts(kind: MeasureKind, fn: int, fp: int, n_pos: int, n_neg: int) -> float:
-    """Scalar tuple loss from confusion counts."""
-    if not (0 <= fn <= n_pos and 0 <= fp <= n_neg):
-        raise ValueError(f"counts out of range: fn={fn}, fp={fp}, n_pos={n_pos}, n_neg={n_neg}")
-    return float(loss_grid(kind, fn, fp, n_pos, n_neg))
-
-
 def tuple_loss(kind: MeasureKind, y_true, y_pred) -> float:
     """Loss of a predicted label tuple against the truth, in [0, 1]."""
     counts = confusion_counts(y_true, y_pred)
     n_pos = counts.tp + counts.fn
     n_neg = counts.tn + counts.fp
-    return loss_from_counts(kind, counts.fn, counts.fp, n_pos, n_neg)
+    return float(loss_grid(kind, counts.fn, counts.fp, n_pos, n_neg))
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:

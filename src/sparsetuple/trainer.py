@@ -22,7 +22,7 @@ import numpy as np
 
 from . import hyperloss, sparse_coding
 from .dataio import Dataset
-from .measures import DegenerateClassError, MeasureKind
+from .measures import MeasureKind
 from .sparse_coding import Dictionary
 
 __all__ = [
@@ -59,31 +59,25 @@ class ModelFormatError(ValueError):
 class TrainConfig:
     """All knobs of a training run.
 
-    ``dict_size=None`` resolves to ``min(2 * d, n)`` when fitting.
-    ``eta_backoff`` keeps the plain fixed-step rule off by default; when on,
-    a step that increases the objective is retried with a halved step size.
+    ``dict_size=None`` resolves to ``min(2 * d, n)`` when fitting.  Every
+    code and weight step uses the same step size ``eta``.
     """
 
     c1: float = 0.1
     c2: float = 0.01
     c3: float = 1.0
     eta: float = 0.01
-    eta_backoff: bool = False
     iters: int = 100
     dict_size: int | None = None
     norm_cap: float = 1.0
-    eps: float = 1e-8
     measure: MeasureKind = MeasureKind.F1
     seed: int = 0
-    dual_steps: int = 50
 
     def __post_init__(self):
         if not isinstance(self.measure, MeasureKind):
             object.__setattr__(self, "measure", MeasureKind.parse(self.measure))
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type == "bool" and not isinstance(value, bool):
-                raise ValueError(f"{f.name} must be true or false, got {value!r}")
             if f.type.startswith("int") and value is not None and type(value) is not int:
                 raise ValueError(f"{f.name} must be an integer, got {value!r}")
             if f.type == "float" and (
@@ -101,10 +95,6 @@ class TrainConfig:
             raise ValueError("dict_size must be >= 1")
         if self.norm_cap <= 0:
             raise ValueError("norm_cap must be positive")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
-        if self.dual_steps < 1:
-            raise ValueError("dual_steps must be >= 1")
 
     def resolved_dict_size(self, n: int, d: int) -> int:
         return self.dict_size if self.dict_size is not None else min(2 * d, n)
@@ -202,7 +192,8 @@ def _codes_blown(codes: np.ndarray, X: np.ndarray) -> bool:
     return bool(np.abs(codes).max() > 1e6 * (1.0 + np.abs(X).max()))
 
 
-_MAX_BACKOFF_HALVINGS = 50
+# Floor of the reweighting diagonal 1 / max(|s|, floor).
+_REWEIGHT_FLOOR = 1e-8
 
 
 def _objective_entry(X, elements, codes, weights, labels, config: TrainConfig):
@@ -225,18 +216,16 @@ def _objective_entry(X, elements, codes, weights, labels, config: TrainConfig):
 def fit(data: Dataset, config: TrainConfig, observer=None) -> Model:
     """Run the full alternating loop for ``config.iters`` outer iterations.
 
-    ``observer``, when given, is called as ``observer(stage, iteration)``
-    with stage ``dictionary`` once the iteration's dictionary is in place,
-    then ``codes``, ``weights`` and ``multipliers`` after each update.  Fixed
-    seeds make the run bitwise reproducible.
+    Each iteration takes one fixed-size (``eta``) gradient step on the codes
+    and on the weights, then one multiplier ascent with its default Newton
+    budget.  ``observer``, when given, is called as ``observer(stage,
+    iteration)`` with stage ``dictionary`` once the iteration's dictionary is
+    in place, then ``codes``, ``weights`` and ``multipliers`` after each
+    update.  Fixed seeds make the run bitwise reproducible.  Single-class
+    labels raise :class:`DegenerateClassError` for PRBEP and AUC from the
+    first argmax, before any update.
     """
     y = data.labels
-    n_pos = int(np.count_nonzero(y == 1))
-    if config.measure in (MeasureKind.PRBEP, MeasureKind.AUC) and n_pos in (0, y.size):
-        raise DegenerateClassError(
-            f"degenerate class: cannot train {config.measure.value} "
-            f"with single-class labels (n_pos={n_pos}, n={y.size})"
-        )
     m = config.resolved_dict_size(data.n, data.d)
     config = replace(config, dict_size=m)
     rng = np.random.default_rng(config.seed)
@@ -244,9 +233,6 @@ def fit(data: Dataset, config: TrainConfig, observer=None) -> Model:
     alphas = dictionary.multipliers
     X = data.features.T
     elements = sparse_coding.solve_dictionary(X, codes, alphas)
-    eta = config.eta
-    halvings = 0
-    previous_objective = np.inf
     trace: list[TraceEntry] = []
     converged: list[bool] = []
     result = hyperloss.argmax_F_oracle(weights, codes, y, config.measure)
@@ -258,37 +244,25 @@ def fit(data: Dataset, config: TrainConfig, observer=None) -> Model:
         # that iterate was scored), frozen for the rest of this iteration.
         coefficients = hyperloss.flip_coefficients(y, result.maximizers, config.c3)
 
-        reweights = sparse_coding.smoothing_weights(codes, config.eps)
+        reweights = sparse_coding.smoothing_weights(codes, _REWEIGHT_FLOOR)
         grads = sparse_coding.code_gradient_batch(
             elements, X, codes, reweights, config.c1, np.outer(weights, coefficients)
         )
-        while True:
-            new_codes = codes - eta * grads
-            new_weights = weights - eta * hyperloss.loss_gradient_w(
-                weights, new_codes, coefficients, config.c2
-            )
-            entry, result = _objective_entry(X, elements, new_codes, new_weights, y, config)
-            accept = (
-                not config.eta_backoff
-                or entry.objective <= previous_objective
-                or halvings >= _MAX_BACKOFF_HALVINGS
-            )
-            if accept:
-                break
-            eta *= 0.5
-            halvings += 1
-        codes = new_codes
+        codes = codes - config.eta * grads
+        weights = weights - config.eta * hyperloss.loss_gradient_w(
+            weights, codes, coefficients, config.c2
+        )
+        entry, result = _objective_entry(X, elements, codes, weights, y, config)
         if observer is not None:
             observer("codes", iteration)
 
-        weights = new_weights
         if observer is not None:
             observer("weights", iteration)
         _ensure_finite(iteration, elements, codes, weights)
 
         try:
             alphas, ascent_ok, elements = sparse_coding.dual_ascent_alphas(
-                X, codes, config.norm_cap, alphas, config.dual_steps
+                X, codes, config.norm_cap, alphas
             )
         except sparse_coding.SingularGramError:
             if _codes_blown(codes, X):
@@ -300,7 +274,6 @@ def fit(data: Dataset, config: TrainConfig, observer=None) -> Model:
 
         trace.append(entry)
         converged.append(ascent_ok)
-        previous_objective = entry.objective
     final_dictionary = Dictionary(elements, config.norm_cap, alphas)
     return Model(final_dictionary, weights, config, tuple(trace), training_codes=codes,
                  ascent_converged=tuple(converged))
@@ -351,7 +324,9 @@ def save_model(model: Model) -> bytes:
 
 _TRACE_KEYS = tuple(f.name for f in fields(TraceEntry))
 # Config keys of earlier releases; model files that carry them still load.
-_RETIRED_CONFIG_KEYS = frozenset({"tie_policy", "encode_iters", "dual_rate"})
+_RETIRED_CONFIG_KEYS = frozenset(
+    {"tie_policy", "encode_iters", "dual_rate", "eta_backoff", "eps", "dual_steps"}
+)
 
 
 def _finite_numbers(values, what: str) -> np.ndarray:
@@ -375,7 +350,8 @@ def load_model(blob: bytes) -> Model:
     Version 1 documents also load: their top-level ``m``, ``c`` and
     ``measure`` repeat the config block and are ignored.  Retired config
     keys (the tie-set policy, the test-time step count, the fixed ascent
-    rate) are ignored in every version; any other unknown config key is an
+    rate, the step-size backoff, the reweighting floor, the Newton step
+    budget) are ignored in every version; any other unknown config key is an
     error.
     """
     try:

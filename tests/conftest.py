@@ -14,7 +14,7 @@ ALL_KINDS = (MeasureKind.F1, MeasureKind.PRBEP, MeasureKind.AUC)
 # A schema-version-1 model (d=3, m=4, 3 iterations) written before version 2.
 MODEL_V1 = Path(__file__).parent / "data" / "model_v1.json"
 # A schema-version-2 model (d=3, m=4, 3 iterations) whose config still carries
-# the retired ``encode_iters`` key.
+# retired keys, ``encode_iters`` among them.
 MODEL_V2 = Path(__file__).parent / "data" / "model_v2.json"
 
 

@@ -1,12 +1,15 @@
+import argparse
 import json
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from sparsetuple.cli import SWEEP_HEADER, main
+from sparsetuple import sparse_coding
+from sparsetuple.cli import SWEEP_HEADER, _add_config_flags, build_parser, main
 from sparsetuple.dataio import kfold_split, serialize_svmlight
-from sparsetuple.trainer import load_model
+from sparsetuple.trainer import TrainConfig, load_model
 
 from conftest import MODEL_V1, MODEL_V2, make_gaussian_dataset
 
@@ -36,6 +39,26 @@ def train_flags(data_path, out_path, **overrides):
     for key, value in flags.items():
         argv += [key, value]
     return argv
+
+
+class TestConfigFlags:
+    @pytest.mark.parametrize("command", ["train", "cv", "sweep"])
+    def test_flags_match_train_config_fields(self, command):
+        bare = argparse.ArgumentParser(add_help=False)
+        _add_config_flags(bare)
+        config_flags = {action.dest: action.option_strings for action in bare._actions}
+        assert sorted(config_flags) == sorted(f.name for f in fields(TrainConfig))
+        subparser = build_parser()._subparsers._group_actions[0].choices[command]
+        flags = {action.dest: action.option_strings for action in subparser._actions}
+        assert {dest: flags.get(dest) for dest in config_flags} == config_flags
+
+    @pytest.mark.parametrize("flag", ["--eta-backoff", "--eps", "--dual-steps"])
+    def test_retired_flags_exit_2(self, data_file, tmp_path, flag):
+        data_path, _ = data_file
+        with pytest.raises(SystemExit) as info:
+            main(train_flags(data_path, tmp_path / "m.json") + [flag, "1"])
+        assert info.value.code == 2
+        assert not (tmp_path / "m.json").exists()
 
 
 class TestTrain:
@@ -84,14 +107,18 @@ class TestTrain:
         assert main(train_flags(path, tmp_path / "m.json")) == 1
         assert capsys.readouterr().err.startswith("error: line 2: feature index")
 
-    def test_missed_dual_ascent_warns(self, tmp_path, capsys):
+    def test_missed_dual_ascent_warns(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "gate.svm"
         path.write_text(serialize_svmlight(make_gaussian_dataset()))
         # With train_flags' other values, the acceptance gate's configuration.
         gate = {"--iters": 100, "--dict-size": 20}
         model_path = tmp_path / "gate.json"
         # One Newton step cannot meet the tolerance from the initial multipliers.
-        assert main(train_flags(path, model_path, **gate, **{"--dual-steps": 1})) == 0
+        ascent = sparse_coding.dual_ascent_alphas
+        with monkeypatch.context() as patch:
+            patch.setattr(sparse_coding, "dual_ascent_alphas",
+                          lambda *args: ascent(*args, steps=1))
+            assert main(train_flags(path, model_path, **gate)) == 0
         assert re.fullmatch(
             r"warning: dual ascent missed the norm cap's KKT tolerance in [1-9]\d* of "
             r"100 iterations; "
@@ -171,10 +198,10 @@ class TestPredict:
             (("weights", 0), float("nan")),
             (("trace", 0, "objective"), [1.0]),
             (("d",), "three"),
-            (("config", "dual_steps"), 2.5),
+            (("config", "iters"), 2.5),
             (("config", "bogus"), 1),
         ],
-        ids=["dictionary-str", "weights-nan", "trace-list", "d-str", "dual_steps-float",
+        ids=["dictionary-str", "weights-nan", "trace-list", "d-str", "iters-float",
              "unknown-config-key"],
     )
     def test_malformed_model_number_exits_1(self, trained, tmp_path, capsys, path, value):

@@ -11,7 +11,6 @@ from sparsetuple.measures import (
     as_label_array,
     auc_from_scores,
     confusion_counts,
-    loss_from_counts,
     prbep_from_scores,
     tuple_loss,
 )
@@ -150,10 +149,6 @@ class TestTupleLoss:
                         loss = tuple_loss(kind, y_arr, cand_arr)
                         assert 0.0 <= loss <= 1.0
                         assert by_counts.setdefault((fn, fp), loss) == loss
-
-    def test_loss_from_counts_range_check(self):
-        with pytest.raises(ValueError, match="out of range"):
-            loss_from_counts(MeasureKind.F1, fn=3, fp=0, n_pos=2, n_neg=2)
 
 
 class TestAucFromScores:

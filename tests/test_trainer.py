@@ -23,6 +23,10 @@ from sparsetuple.trainer import (
 from conftest import MODEL_V1, MODEL_V2, make_gaussian_dataset
 
 
+# Config keys of earlier releases that load_model ignores.
+RETIRED = {"tie_policy", "encode_iters", "dual_rate", "eta_backoff", "eps", "dual_steps"}
+
+
 def small_dataset(seed=0, n=40, d=5):
     return make_gaussian_dataset(seed=seed, n=n, d=d)
 
@@ -44,24 +48,28 @@ class TestTrainConfig:
             {"iters": 0},
             {"dict_size": 0},
             {"norm_cap": 0.0},
-            {"eps": 0.0},
-            {"dual_steps": 0},
-            {"dual_steps": -1},
-            {"dual_steps": 2.5},
+            {"iters": -1},
+            {"iters": 2.5},
             {"iters": 3.0},
             {"dict_size": 4.0},
             {"seed": "7"},
-            {"dual_steps": True},
+            {"iters": True},
             {"eta": float("nan")},
             {"norm_cap": float("inf")},
             {"c1": "0.1"},
-            {"eta_backoff": "yes"},
             {"measure": 3},
+            {"c2": -1.0},
+            {"c3": -1.0},
+            {"c1": True},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             TrainConfig(**kwargs)
+
+    def test_retired_knob_is_not_a_field(self):
+        with pytest.raises(TypeError):
+            TrainConfig(eta_backoff=True)
 
     def test_dict_size_default_resolution(self):
         assert TrainConfig().resolved_dict_size(n=100, d=10) == 20
@@ -199,18 +207,6 @@ class TestFit:
         fit(small_dataset(), TrainConfig(iters=6, dict_size=4, seed=5))
         assert len(calls) == 6 + 1
 
-    def test_eta_backoff_tames_oversized_steps(self):
-        ds = small_dataset()
-        wild = TrainConfig(iters=30, dict_size=5, eta=5.0, seed=3)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericalDivergenceError):
-                fit(ds, wild)
-        tamed = fit(ds, TrainConfig(iters=30, dict_size=5, eta=5.0, seed=3,
-                                    eta_backoff=True))
-        objectives = [entry.objective for entry in tamed.trace]
-        assert np.all(np.isfinite(objectives))
-        assert objectives[-1] <= objectives[0]
-
     @pytest.mark.parametrize(
         "data, config",
         [
@@ -334,6 +330,19 @@ class TestSerialization:
         assert "encode_iters" not in json.loads(resaved)["config"]
         assert save_model(load_model(resaved)) == resaved
 
+    def test_retired_training_knobs_do_not_change_scores(self):
+        document = json.loads(MODEL_V2.read_bytes())
+        knobs = {"eta_backoff": True, "eps": 0.5, "dual_steps": 3}
+        without = {k: v for k, v in document["config"].items() if k not in RETIRED}
+        features = np.array([[1.5, 0.5, 1.0], [-1.0, 0.0, -2.0], [0.0, 2.0, 0.0]])
+        scores = []
+        for config in ({**document["config"], **knobs}, without):
+            model = load_model(json.dumps({**document, "config": config}).encode())
+            codes = encode(model.dictionary, features, model.config)
+            scores.append(hyperloss.point_scores(model.weights, codes))
+            assert not RETIRED & set(json.loads(save_model(model))["config"])
+        np.testing.assert_array_equal(scores[0], scores[1])
+
     def test_unknown_config_key_rejected(self):
         for blob in (save_model(self.make_model()), MODEL_V1.read_bytes()):
             document = json.loads(blob)
@@ -399,12 +408,12 @@ class TestSerialization:
             (("d",), "three", "d must be a positive integer"),
             (("d",), 2.5, "d must be a positive integer"),
             (("schema_version",), True, "schema_version"),
-            (("config", "dual_steps"), 2.5, "dual_steps must be an integer"),
+            (("config", "iters"), 2.5, "iters must be an integer"),
             (("config", "eta"), float("nan"), "eta must be a finite number"),
         ],
         ids=["dictionary-str", "dictionary-bool", "weights-nan", "alphas-huge-int",
              "alphas-negative", "trace-list", "trace-inf", "trace-not-list", "d-str",
-             "d-float", "version-bool", "dual_steps-float", "eta-nan"],
+             "d-float", "version-bool", "iters-float", "eta-nan"],
     )
     def test_malformed_number_rejected(self, path, value, message):
         document = json.loads(save_model(self.make_model()).decode())
