@@ -13,15 +13,19 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import astuple, fields, replace
+from functools import partial
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 
-from .dataio import Dataset, DatasetFormatError, kfold_split, parse_csv, parse_svmlight
+from .dataio import (Dataset, DatasetFormatError, FoldPlan, kfold_split, parse_csv,
+                     parse_svmlight)
 from .measures import (
     DegenerateClassError,
     MeasureKind,
@@ -45,6 +49,8 @@ from .trainer import (
 
 __all__ = ["main", "build_parser", "cross_validate"]
 
+JOBS_HELP = ("worker processes that train folds (default: the CPUs this process may use, "
+             "at most one per two folds; 1 trains them in this process)")
 SWEEP_HEADER = ("c1", "c2", "c3", "f1_median", "prbep_median", "auc_median", "status")
 
 
@@ -177,13 +183,38 @@ def _five_number(values: list[float]) -> dict | None:
     }
 
 
-def _run_fold(payload) -> dict:
-    fold, train_features, train_labels, test_features, test_labels, test_indices, config = payload
+def _available_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _cv_plan(dataset: Dataset, config: TrainConfig, k: int,
+             stratified: bool) -> tuple[TrainConfig, FoldPlan]:
+    """The config every fold shares and the k-fold partition of ``dataset``."""
+    # Resolve the dictionary size against the full dataset so the echoed
+    # config is self-describing and every fold trains the same model shape.
+    config = replace(config, dict_size=config.resolved_dict_size(dataset.n, dataset.d))
+    plan = kfold_split(dataset.n, k, config.seed, stratified=stratified,
+                       labels=dataset.labels if stratified else None)
+    return config, plan
+
+
+def _fold_tasks(config: TrainConfig, k: int) -> list[tuple[int, TrainConfig]]:
+    return [(fold, replace(config, seed=config.seed + fold)) for fold in range(k)]
+
+
+def _run_fold(dataset: Dataset, plan: FoldPlan, fold: int, config: TrainConfig) -> dict:
+    test_idx = plan.test_indices(fold)
+    train_idx = plan.train_indices(fold)
+    test_features, test_labels = dataset.features[test_idx], dataset.labels[test_idx]
     started = time.perf_counter()
     row = {
         "fold": fold,
         "seed": config.seed,
-        "test_indices": [int(i) for i in test_indices],
+        "test_indices": [int(i) for i in test_idx],
         "n_test": int(test_labels.size),
         "f1": None,
         "prbep": None,
@@ -193,7 +224,7 @@ def _run_fold(payload) -> dict:
         "note": None,
     }
     try:
-        model = fit(Dataset(train_features, train_labels), config)
+        model = fit(Dataset(dataset.features[train_idx], dataset.labels[train_idx]), config)
     except DegenerateClassError as exc:
         row["status"] = "skipped"
         row["note"] = f"training skipped: {exc}"
@@ -218,44 +249,56 @@ def _run_fold(payload) -> dict:
     return row
 
 
-def cross_validate(
-    dataset: Dataset,
-    config: TrainConfig,
-    k: int,
-    stratified: bool = False,
-    jobs: int = 1,
-    include_timing: bool = True,
-) -> dict:
-    """k-fold cross-validation report, deterministic for a fixed seed.
+# The dataset and fold plan of the run, in a fold worker process.
+_worker_folds: tuple[Dataset, FoldPlan] | None = None
 
-    Fold f trains on the other folds with seed ``config.seed + f`` and is
-    evaluated on its own points; folds may run in parallel (``jobs``)
-    without changing the report.  ``include_timing=False`` nulls the
-    wall-clock fields so two identical runs produce identical bytes.
+
+def _init_fold_worker(dataset: Dataset, plan: FoldPlan) -> None:
+    global _worker_folds
+    _worker_folds = (dataset, plan)
+
+
+def _run_worker_fold(task: tuple[int, TrainConfig]) -> dict:
+    return _run_fold(*_worker_folds, *task)
+
+
+@contextmanager
+def _fold_results(dataset: Dataset, plan: FoldPlan, tasks: list, jobs: int | None):
+    """Runs ``(fold, config)`` tasks; yields one result getter per task, in order.
+
+    ``min(jobs, len(tasks))`` worker processes run the tasks; with one, the
+    getters train each fold in this process when called.  A getter re-raises
+    its fold's exception.  Workers receive ``dataset`` and ``plan`` once, at
+    start-up.  ``jobs=None`` means the CPUs this process may use, but no more
+    than one worker per two tasks: starting a worker (fork, pool set-up and
+    faulting in its own memory) costs about as much as training one small
+    fold, so each worker should have at least two to train.
     """
-    # Resolve the dictionary size against the full dataset so the echoed
-    # config is self-describing and every fold trains the same model shape.
-    config = replace(config, dict_size=config.resolved_dict_size(dataset.n, dataset.d))
-    plan = kfold_split(dataset.n, k, config.seed, stratified=stratified,
-                       labels=dataset.labels if stratified else None)
-    payloads = []
-    for fold in range(k):
-        test_idx = plan.test_indices(fold)
-        train_idx = plan.train_indices(fold)
-        payloads.append((
-            fold,
-            dataset.features[train_idx],
-            dataset.labels[train_idx],
-            dataset.features[test_idx],
-            dataset.labels[test_idx],
-            test_idx,
-            replace(config, seed=config.seed + fold),
-        ))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_run_fold, payloads))
-    else:
-        rows = [_run_fold(payload) for payload in payloads]
+    if jobs is None:
+        jobs = max(1, min(_available_cpus(), len(tasks) // 2))
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
+        yield [partial(_run_fold, dataset, plan, *task) for task in tasks]
+        return
+    # Imported here, so commands that start no workers never load multiprocessing.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # fork: a worker inherits the imported numpy and the dataset instead of
+    # re-importing numpy (about 0.2 s), as spawn and forkserver workers do.
+    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context(method),
+                               initializer=_init_fold_worker, initargs=(dataset, plan))
+    try:
+        yield [pool.submit(_run_worker_fold, task).result for task in tasks]
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _cv_report(config: TrainConfig, k: int, stratified: bool, rows: list[dict],
+               include_timing: bool) -> dict:
     if not include_timing:
         for row in rows:
             row["seconds"] = None
@@ -272,6 +315,32 @@ def cross_validate(
         "folds": rows,
         "summary": summary,
     }
+
+
+def cross_validate(
+    dataset: Dataset,
+    config: TrainConfig,
+    k: int,
+    stratified: bool = False,
+    jobs: int | None = None,
+    include_timing: bool = True,
+) -> dict:
+    """k-fold cross-validation report, deterministic for a fixed seed.
+
+    Fold f trains on the other folds with seed ``config.seed + f`` and is
+    evaluated on its own points.  The folds run on ``min(jobs, k)`` worker
+    processes; ``jobs`` defaults to the number of CPUs this process may use,
+    capped at ``k // 2`` so that each worker trains at least two folds, and
+    ``jobs=1`` trains them one after another in this process.  The
+    report does not depend on ``jobs``: rows come back in fold order, and a
+    failing fold raises the exception of the lowest failing fold, as the
+    in-process loop does.  ``include_timing=False`` nulls the wall-clock
+    fields so two identical runs produce identical bytes.
+    """
+    config, plan = _cv_plan(dataset, config, k, stratified)
+    with _fold_results(dataset, plan, _fold_tasks(config, k), jobs) as results:
+        rows = [result() for result in results]
+    return _cv_report(config, k, stratified, rows, include_timing)
 
 
 def _cmd_cv(args: argparse.Namespace) -> int:
@@ -302,32 +371,45 @@ def _parse_grid(text: str) -> list[float]:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     dataset = _load_dataset(args.data, args.format)
-    c1_grid = _parse_grid(args.c1_grid)
-    c2_grid = _parse_grid(args.c2_grid)
-    c3_grid = _parse_grid(args.c3_grid)
+    grid = list(product(_parse_grid(args.c1_grid), _parse_grid(args.c2_grid),
+                        _parse_grid(args.c3_grid)))
+    # A cell is its resolved config, or the exception that rejected it.  The
+    # fold plan depends on the seed, k and the data only, so cells share it.
+    cells, plan = [], None
+    for c1, c2, c3 in grid:
+        try:
+            cell_config, plan = _cv_plan(dataset, replace(config, c1=c1, c2=c2, c3=c3),
+                                         args.k, args.stratified)
+        except Exception as exc:
+            cells.append(exc)
+        else:
+            cells.append(cell_config)
+    tasks = [task for cell in cells if isinstance(cell, TrainConfig)
+             for task in _fold_tasks(cell, args.k)]
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(SWEEP_HEADER)
-    for c1 in c1_grid:
-        for c2 in c2_grid:
-            for c3 in c3_grid:
+    with _fold_results(dataset, plan, tasks, args.jobs) as results:
+        results = iter(results)
+        for (c1, c2, c3), cell in zip(grid, cells):
+            if isinstance(cell, TrainConfig):
+                cell_results = [next(results) for _ in range(args.k)]
                 try:
-                    cell_config = replace(config, c1=c1, c2=c2, c3=c3)
-                    report = cross_validate(
-                        dataset, cell_config, k=args.k,
-                        stratified=args.stratified, jobs=args.jobs,
-                        include_timing=False,
-                    )
+                    report = _cv_report(cell, args.k, args.stratified,
+                                        [result() for result in cell_results],
+                                        include_timing=False)
                 except Exception as exc:
-                    print(f"error: c1={c1!r} c2={c2!r} c3={c3!r}: "
-                          f"{type(exc).__name__}: {exc}", file=sys.stderr)
-                    writer.writerow((repr(c1), repr(c2), repr(c3), "", "", "", "failed"))
-                    continue
-                medians = []
-                for name in ("f1", "prbep", "auc"):
-                    stats = report["summary"][name]
-                    medians.append("" if stats is None else repr(stats["median"]))
-                writer.writerow((repr(c1), repr(c2), repr(c3), *medians, "ok"))
+                    cell = exc
+            if isinstance(cell, Exception):
+                print(f"error: c1={c1!r} c2={c2!r} c3={c3!r}: "
+                      f"{type(cell).__name__}: {cell}", file=sys.stderr)
+                writer.writerow((repr(c1), repr(c2), repr(c3), "", "", "", "failed"))
+                continue
+            medians = []
+            for name in ("f1", "prbep", "auc"):
+                stats = report["summary"][name]
+                medians.append("" if stats is None else repr(stats["median"]))
+            writer.writerow((repr(c1), repr(c2), repr(c3), *medians, "ok"))
     _write_text(args.out, buffer.getvalue())
     return 0
 
@@ -367,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     cv.add_argument("--format", default="auto", choices=("auto", "svmlight", "csv"))
     cv.add_argument("--k", type=int, default=10)
     cv.add_argument("--stratified", action="store_true")
-    cv.add_argument("--jobs", type=int, default=1, help="folds trained in parallel")
+    cv.add_argument("--jobs", type=int, default=None, help=JOBS_HELP)
     cv.add_argument("--omit-timing", action="store_true",
                     help="null the wall-clock fields for byte-reproducible reports")
     cv.add_argument("--out", default="-", help="report JSON ('-' for stdout)")
@@ -382,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--c3-grid", required=True, help="comma-separated c3 values")
     sweep.add_argument("--k", type=int, default=10)
     sweep.add_argument("--stratified", action="store_true")
-    sweep.add_argument("--jobs", type=int, default=1)
+    sweep.add_argument("--jobs", type=int, default=None, help=JOBS_HELP)
     sweep.add_argument("--out", default="-", help="sweep CSV ('-' for stdout)")
     _add_config_flags(sweep)
     sweep.set_defaults(func=_cmd_sweep)

@@ -138,8 +138,10 @@ def dual_ascent_alphas(
     multipliers (positive, or zero with a positive gradient), projects onto
     ``alpha >= 0`` and halves until the KKT residual falls: ``max(grad_j, 0)``
     where ``alpha_j = 0``, ``|grad_j|`` where ``alpha_j > 0``.  The ascent
-    stops once every residual is at most ``tol``, after ``steps`` steps, or
-    when no halving helps.
+    stops once every residual is at most ``tol * max(1, norm_cap)``, after
+    ``steps`` steps, or when no halving helps; the tolerance scales with a
+    large cap because float64 cannot resolve ``|grad_j|`` below about
+    ``1e-16 * norm_cap``.
 
     Returns ``(alphas, converged, elements)``, ``elements`` being ``D(alphas)``.
     """
@@ -147,6 +149,7 @@ def dual_ascent_alphas(
     d, m = len(X), len(S)
     if alphas.shape != (m,) or np.any(alphas < 0):
         raise ValueError("need one nonnegative initial multiplier per dictionary element")
+    tol = tol * max(1.0, norm_cap)
     gram = S @ S.T
     rhs = np.hstack([S @ X.T, np.eye(m)])
 

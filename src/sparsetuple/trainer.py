@@ -50,6 +50,10 @@ class NumericalDivergenceError(RuntimeError):
         self.iteration = iteration
         super().__init__(f"numerical overflow at iteration {iteration}")
 
+    def __reduce__(self):
+        # The default rebuilds from ``args``, the message, not the iteration.
+        return type(self), (self.iteration,)
+
 
 class ModelFormatError(ValueError):
     """A serialized model stream is malformed or inconsistent."""

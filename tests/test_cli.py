@@ -1,7 +1,11 @@
 import argparse
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,6 +63,52 @@ class TestConfigFlags:
             main(train_flags(data_path, tmp_path / "m.json") + [flag, "1"])
         assert info.value.code == 2
         assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("command", ["cv", "sweep"])
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exits_2(self, data_file, tmp_path, capsys, command, jobs):
+        data_path, _ = data_file
+        out = tmp_path / "out"
+        argv = [command, "--data", str(data_path), "--out", str(out), "--jobs", jobs,
+                "--k", "3", "--iters", "2", "--dict-size", "3"]
+        if command == "sweep":
+            argv += ["--c1-grid", "0.1", "--c2-grid", "0.01", "--c3-grid", "1.0"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: jobs must be >= 1, got {jobs}\n"
+        assert not out.exists()
+
+    def test_cv_and_sweep_document_jobs_alike(self):
+        choices = build_parser()._subparsers._group_actions[0].choices
+        helps = {command: next(action.help for action in choices[command]._actions
+                               if action.dest == "jobs")
+                 for command in ("cv", "sweep")}
+        assert helps["cv"] == helps["sweep"]
+        assert "default: the CPUs this process may use" in helps["cv"]
+
+
+def test_multiprocessing_is_loaded_only_to_start_workers(data_file, tmp_path):
+    # Two folds get no workers by default; --jobs 2 over four folds starts two.
+    data_path, _ = data_file
+    script = (
+        "import sys\n"
+        "from sparsetuple.cli import main\n"
+        "def loaded():\n"
+        "    print(any(name.split('.')[0] in ('concurrent', 'multiprocessing')\n"
+        "              for name in sys.modules))\n"
+        "loaded()\n"
+        "main(sys.argv[1:] + ['--k', '2'])\n"
+        "loaded()\n"
+        "main(sys.argv[1:] + ['--k', '4', '--jobs', '2'])\n"
+        "loaded()\n"
+    )
+    argv = ["cv", "--data", str(data_path), "--out", str(tmp_path / "report.json"),
+            "--iters", "2", "--dict-size", "3"]
+    src = Path(__file__).resolve().parent.parent / "src"
+    printed = subprocess.run(
+        [sys.executable, "-c", script, *argv], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True,
+    ).stdout.split()
+    assert printed == ["False", "False", "True"]
 
 
 class TestTrain:
@@ -358,10 +408,40 @@ class TestCv:
         data_path, _ = data_file
         serial = tmp_path / "serial.json"
         parallel = tmp_path / "parallel.json"
-        assert main(self.cv_flags(data_path, serial) + ["--omit-timing"]) == 0
+        assert main(self.cv_flags(data_path, serial) + ["--omit-timing", "--jobs", "1"]) == 0
         assert main(self.cv_flags(data_path, parallel)
                     + ["--omit-timing", "--jobs", "2"]) == 0
         assert serial.read_bytes() == parallel.read_bytes()
+
+    def test_omit_timing_report_is_the_same_for_every_jobs_value(self, data_file, tmp_path):
+        # One CPU-count default, one in-process run, and more workers than folds.
+        data_path, _ = data_file
+        # One negative among 12 points: the fold that tests it has none to
+        # train on, so AUC training is skipped there.
+        rng = np.random.default_rng(17)
+        skewed = tmp_path / "skewed.svm"
+        skewed.write_text("".join(f"{'-1' if i == 0 else '+1'} 1:{rng.normal():.3f} "
+                                  f"2:{rng.normal():.3f}\n" for i in range(12)))
+        runs = [(data_path, {}),
+                (skewed, {"--k": "4", "--dict-size": "3", "--iters": "3", "--measure": "auc"})]
+        for path, overrides in runs:
+            reports = []
+            for jobs in ([], ["--jobs", "1"], ["--jobs", "7"]):
+                out = tmp_path / f"report{len(reports)}.json"
+                assert main(self.cv_flags(path, out, **overrides) + ["--omit-timing"] + jobs) == 0
+                reports.append(out.read_bytes())
+            assert reports[1] == reports[0] == reports[2]
+        statuses = [row["status"] for row in json.loads(reports[0])["folds"]]
+        assert statuses.count("skipped") == 1
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_diverging_fold_exits_3_alike_for_any_jobs(self, tmp_path, capsys, jobs):
+        path = tmp_path / "gate.svm"
+        path.write_text(serialize_svmlight(make_gaussian_dataset()))
+        argv = ["cv", "--data", str(path), "--k", "4", "--eta", "1e6", "--iters", "20",
+                "--out", str(tmp_path / "report.json"), "--jobs", jobs]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == "error: numerical overflow at iteration 12\n"
 
     def test_degenerate_test_fold_marked_skipped(self, tmp_path):
         # 12 points with only two negatives: folds without a negative cannot
@@ -429,6 +509,25 @@ class TestSweep:
         err = capsys.readouterr().err
         assert "error: c1=-1.0 c2=0.01 c3=1.0: ValueError" in err
         assert "must be nonnegative" in err
+
+    def test_default_jobs_match_in_process_run(self, data_file, tmp_path, capsys):
+        # c3 = 1e4 diverges in a fold.  By default the 9 tasks run on a worker
+        # per CPU (at most 4), so with two CPUs the failure comes from a worker.
+        data_path, _ = data_file
+        argv = ["sweep", "--data", str(data_path), "--c1-grid", "0.1", "--c2-grid", "0.01",
+                "--c3-grid", "1.0,1e4,2.0", "--k", "3", "--iters", "20",
+                "--dict-size", "3", "--eta", "0.5"]
+        outputs = []
+        for jobs in ([], ["--jobs", "1"]):
+            out = tmp_path / f"sweep{len(outputs)}.csv"
+            assert main(argv + ["--out", str(out)] + jobs) == 0
+            outputs.append((out.read_text(), capsys.readouterr().err))
+        assert outputs[0] == outputs[1]
+        text, err = outputs[0]
+        assert [row.rsplit(",", 1)[1] for row in text.strip().split("\n")[1:]] == [
+            "ok", "failed", "ok"]
+        assert err == ("error: c1=0.1 c2=0.01 c3=10000.0: NumericalDivergenceError: "
+                       "numerical overflow at iteration 18\n")
 
     def test_empty_grid_rejected(self, data_file, tmp_path):
         data_path, _ = data_file

@@ -262,12 +262,30 @@ class TestDualAscent:
             grad = np.sum(elements * elements, axis=0) - cap
             assert converged
             assert np.all(alphas >= 0)
-            assert grad.max() <= 1e-6
-            assert np.all(np.abs(grad[alphas > 0]) <= 1e-6)
+            tol = 1e-6 * max(1.0, cap)
+            assert grad.max() <= tol
+            assert np.all(np.abs(grad[alphas > 0]) <= tol)
             np.testing.assert_allclose(elements, solve_dictionary(X, S, alphas), rtol=0, atol=1e-10)
             binding += np.count_nonzero(alphas > 0)
             slack += np.count_nonzero(alphas == 0)
         assert binding > 0 and slack > 0
+
+    def test_tolerance_is_relative_to_a_large_cap(self):
+        # X scaled by 1e6 puts the caps near 1e10-1e13, where float64 cannot
+        # resolve |||d_j||^2 - cap| to an absolute 1e-6; relative to the cap the
+        # ascent converges every time.
+        rng = np.random.default_rng(1201)
+        for _ in range(50):
+            d, m = int(rng.integers(2, 8)), int(rng.integers(2, 9))
+            n = int(rng.integers(m + 5, 60))
+            X = 1e6 * rng.uniform(0.5, 3.0) * rng.normal(size=(d, n))
+            S = rng.uniform(0.2, 2.0, (m, 1)) * rng.normal(size=(m, n))
+            cap = float(np.median(np.sum(solve_dictionary(X, S, np.zeros(m)) ** 2, axis=0)))
+            alphas, converged, elements = dual_ascent_alphas(X, S, cap, np.zeros(m))
+            grad = np.sum(elements * elements, axis=0) - cap
+            assert converged
+            assert grad.max() <= 1e-6 * cap
+            assert np.all(np.abs(grad[alphas > 0]) <= 1e-6 * cap)
 
     def test_single_element_matches_bisection(self):
         # With m = 1 the squared norm of d(alpha) falls monotonically in
