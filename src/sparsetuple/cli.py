@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import (Dataset, DatasetFormatError, FoldPlan, kfold_split, parse_csv,
+from .dataio import (Dataset, DatasetFormatError, FoldPlan, _decode, kfold_split, parse_csv,
                      parse_svmlight)
 from .measures import (
     DegenerateClassError,
@@ -126,8 +126,8 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 def _read_predictions(path: str) -> tuple[np.ndarray, np.ndarray]:
     scores, labels = [], []
-    text = Path(path).read_text(encoding="utf-8")
-    for line_no, raw in enumerate(text.split("\n"), start=1):
+    text = _decode(Path(path).read_bytes())  # lines end at \n, \r\n or \r, as in text mode
+    for line_no, raw in enumerate(io.StringIO(text, newline=None), start=1):
         line = raw.strip()
         if not line:
             continue

@@ -7,13 +7,16 @@ Features are stored dense; the sparse format is an input convention, not a
 storage contract.
 
 svmlight indices and values follow Python's ``int()`` and ``float()``
-syntax.  The first error in file order is reported, with its line.  Entries
-are checked and converted in blocks, so parse memory beyond the dense
-matrix is bounded by a block, not by the file.
+syntax.  The first error in file order is reported, with its line.  Input
+is read a line at a time and converted in blocks of about 4,096 entries;
+besides the dense matrix, parsing keeps 16 bytes an entry, under 16 a line
+and under 1 KB a block, plus the working set of one block.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -75,10 +78,13 @@ class Dataset:
         return self.features.shape[1]
 
 
-def _decode(data) -> str:
-    if isinstance(data, bytes):
-        return data.decode("utf-8")
-    return str(data)
+def _decode(data, line: int = 1) -> str:
+    """``data`` as text; bytes that are not UTF-8 are reported at their line."""
+    try:
+        return data.decode("utf-8") if isinstance(data, bytes) else str(data)
+    except UnicodeDecodeError as exc:
+        raise DatasetFormatError(f"byte {data[exc.start]:#04x} is not UTF-8 ({exc.reason})",
+                                 line + data.count(b"\n", 0, exc.start)) from None
 
 
 def _parse_label(token: str, line_no: int) -> int:
@@ -88,7 +94,7 @@ def _parse_label(token: str, line_no: int) -> int:
         raise DatasetFormatError(f"label {token!r} not in {{+1, -1}}", line_no) from None
 
 
-# Feature entries converted at a time: parse memory is bounded by one block.
+# Feature entries, or lines, converted at a time: one block bounds the working memory.
 _BLOCK_ENTRIES = 4096
 
 
@@ -122,9 +128,10 @@ def _raise_first_error(lines) -> None:
             previous = index
 
 
-def _convert_block(lines, entries, counts):
-    """Labels, row of each entry, indices and values; checks whole blocks at once."""
+def _convert_block(lines):
+    """Labels, entries per line, indices and values; checks whole blocks at once."""
     labels = [_LABEL_TOKENS.get(tokens[0]) for _, tokens in lines]
+    entries = [token for _, tokens in lines for token in tokens[1:]]
     if None in labels or set(map(str.count, entries, repeat(":"))) - {1}:
         _raise_first_error(lines)
     # Tokens hold no whitespace, so this splits each one at its only colon.
@@ -134,51 +141,57 @@ def _convert_block(lines, entries, counts):
         values = np.fromiter(map(float, pieces[1::2]), np.float64, len(entries))
     except (ValueError, OverflowError):
         _raise_first_error(lines)
-    counts = np.array(counts)
+    counts = np.array([len(tokens) - 1 for _, tokens in lines], dtype=np.int32)
     # Each index must exceed the one before it in its row, or 0 at a row start.
     previous = np.concatenate(([0], indices[:-1]))
     previous[(np.cumsum(counts) - counts)[counts > 0]] = 0
     if not (np.all(indices > previous) and np.all(np.isfinite(values))):
         _raise_first_error(lines)
-    return labels, np.repeat(np.arange(len(lines)), counts), indices, values
+    return labels, counts, indices, values
+
+
+def _line_blocks(data):
+    """``(line number, tokens)`` of each non-empty line, a block at a time."""
+    lines, entries = [], 0
+    stream = io.BytesIO(data.encode("utf-8") if isinstance(data, str) else data)
+    for line_no, raw in enumerate(stream, start=1):
+        try:
+            tokens = _decode(raw, line_no).split("#", 1)[0].split()
+        except DatasetFormatError:
+            yield lines  # a fault on an earlier line is reported first
+            raise
+        if tokens:
+            lines.append((line_no, tokens))
+            entries += len(tokens) - 1
+        if entries >= _BLOCK_ENTRIES or len(lines) >= _BLOCK_ENTRIES:
+            yield lines
+            lines, entries = [], 0
+    yield lines
 
 
 def parse_svmlight(data) -> Dataset:
-    """Parse svmlight-style text into a dense Dataset."""
-    text_lines = _decode(data).split("\n")
-    labels, line_numbers, parts = [], [], []
-    lines, entries, counts = [], [], []
-    for line_no, raw in enumerate(text_lines, start=1):
-        tokens = raw.split("#", 1)[0].split()
-        if tokens:
-            lines.append((line_no, tokens))
-            entries += tokens[1:]
-            counts.append(len(tokens) - 1)
-        if lines and (len(entries) >= _BLOCK_ENTRIES or line_no == len(text_lines)):
-            block_labels, rows, indices, values = _convert_block(lines, entries, counts)
-            parts.append((rows + len(labels), indices, values))
-            labels += block_labels
-            line_numbers += [number for number, _ in lines]
-            lines, entries, counts = [], [], []
+    """Parse svmlight text (UTF-8 bytes, or a str, encoded first) into a dense Dataset."""
+    labels, blocks = [], []
+    top = top_line = 0  # the largest index, and the line it first appears on
+    for lines in filter(None, _line_blocks(data)):
+        block_labels, counts, indices, values = _convert_block(lines)
+        if indices.max(initial=0) > top:
+            top, at = int(indices.max()), int(np.argmax(indices))
+            top_line = lines[np.searchsorted(np.cumsum(counts), at, side="right")][0]
+        blocks.append((len(labels), counts, indices, values))
+        labels += block_labels
     if not labels:
         raise DatasetFormatError("empty dataset")
-    # Free the lines, then the blocks, before the dense matrix is allocated,
-    # so that it and the work after parsing can reuse their memory.
-    del text_lines
-    rows, indices, values = map(np.concatenate, zip(*parts))
-    del parts
-    if not indices.size:
+    if not top:
         raise DatasetFormatError("no feature indices seen; d must be >= 1")
-    top = int(np.argmax(indices))
-    n, d = len(labels), int(indices[top])
     try:
-        features = np.zeros((n, d), dtype=np.float64)
+        features = np.zeros((len(labels), top), dtype=np.float64)
     except (ValueError, MemoryError):
-        raise DatasetFormatError(
-            f"feature index {d} needs an {n}-by-{d} matrix, too large to allocate",
-            line_numbers[rows[top]],
-        ) from None
-    features[rows, indices - 1] = values
+        raise DatasetFormatError(f"feature index {top} needs an {len(labels)}-by-{top} matrix, "
+                                 "too large to allocate", top_line) from None
+    for row, counts, indices, values in blocks:
+        features[np.repeat(np.arange(row, row + counts.size), counts), indices - 1] = values
+    del blocks  # before Dataset's checks allocate
     return Dataset(features, np.array(labels, dtype=np.int64))
 
 
@@ -191,14 +204,11 @@ def serialize_svmlight(dataset: Dataset) -> str:
     """
     lines = []
     entry_lists = []
-    max_nonzero = 0
     for i in range(dataset.n):
         row = dataset.features[i]
         nz = np.flatnonzero(row != 0.0)
         entry_lists.append([(int(j) + 1, float(row[j])) for j in nz])
-        if nz.size:
-            max_nonzero = max(max_nonzero, int(nz[-1]) + 1)
-    if max_nonzero < dataset.d:
+    if not np.any(dataset.features[:, -1] != 0.0):
         entry_lists[0].append((dataset.d, 0.0))
     for i, entries in enumerate(entry_lists):
         label = "+1" if dataset.labels[i] == 1 else "-1"
@@ -209,11 +219,7 @@ def serialize_svmlight(dataset: Dataset) -> str:
 
 def parse_csv(data) -> Dataset:
     """Parse header-first CSV with a ``label`` column into a Dataset."""
-    import csv
-    import io
-
-    text = _decode(data)
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(_decode(data)))
     try:
         header = next(reader)
     except StopIteration:

@@ -6,8 +6,8 @@ the dictionary ``elements`` matrix is d-by-m with one element per column.
 
 The l1 sparsity penalty is handled by iterative reweighting: ``|s_j|`` is
 written as ``s_j^2 / |s_j^pre|`` with the previous iterate frozen inside the
-diagonal weight, which makes the coding objective smooth.  The weight floor
-``eps`` keeps the reweighting bounded near zero.
+diagonal weight, which makes the coding objective smooth.  The trainer's
+weight floor ``_REWEIGHT_FLOOR`` keeps the reweighting bounded near zero.
 """
 
 from __future__ import annotations
@@ -64,7 +64,8 @@ def smoothing_weights(s_prev: np.ndarray, eps: float) -> np.ndarray:
     """Reweighting diagonal ``u_j = 1 / max(|s_prev_j|, eps)``."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    return 1.0 / np.maximum(np.abs(np.asarray(s_prev, dtype=np.float64)), eps)
+    weights = np.abs(np.asarray(s_prev, dtype=np.float64))
+    return np.divide(1.0, np.maximum(weights, eps, out=weights), out=weights)
 
 
 def code_gradient_batch(elements, X, S, weights, c1, loss_terms) -> np.ndarray:
@@ -76,9 +77,14 @@ def code_gradient_batch(elements, X, S, weights, c1, loss_terms) -> np.ndarray:
     held fixed.  ``X`` is d-by-n, ``S`` and ``weights`` and ``loss_terms``
     are m-by-n.  Note the reconstruction part contributes
     ``-2 D' (x - D s)``; a plus sign there would ascend the reconstruction
-    error.
+    error.  Besides the result it allocates a d-by-n, then an m-by-n scratch array.
     """
-    return -2.0 * elements.T @ (X - elements @ S) + 2.0 * c1 * weights * S + loss_terms
+    residual = elements @ S
+    grads = (-2.0 * elements.T) @ np.subtract(X, residual, out=residual)
+    del residual
+    scratch = np.multiply(2.0 * c1, weights)
+    grads += np.multiply(scratch, S, out=scratch)
+    return np.add(grads, loss_terms, out=grads)
 
 
 _MAX_HALVINGS = 30  # of a Newton step, before the ascent gives up on it

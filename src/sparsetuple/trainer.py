@@ -185,9 +185,9 @@ _OVERFLOW_LIMIT = 1e140
 
 
 def _ensure_finite(iteration: int, *arrays) -> None:
-    for arr in arrays:
-        if not np.all(np.isfinite(arr)) or (arr.size and np.abs(arr).max() > _OVERFLOW_LIMIT):
-            raise NumericalDivergenceError(iteration)
+    # NaN fails ``<=`` as well, so one pass over each array catches NaN, +-inf and overflow.
+    if any(arr.size and not np.abs(arr).max() <= _OVERFLOW_LIMIT for arr in arrays):
+        raise NumericalDivergenceError(iteration)
 
 
 def _codes_blown(codes: np.ndarray, X: np.ndarray) -> bool:
@@ -252,7 +252,9 @@ def fit(data: Dataset, config: TrainConfig, observer=None) -> Model:
         grads = sparse_coding.code_gradient_batch(
             elements, X, codes, reweights, config.c1, np.outer(weights, coefficients)
         )
-        codes = codes - config.eta * grads
+        grads *= config.eta
+        codes -= grads
+        del reweights, grads  # free before the next iteration allocates its own
         weights = weights - config.eta * hyperloss.loss_gradient_w(
             weights, codes, coefficients, config.c2
         )

@@ -157,6 +157,13 @@ class TestTrain:
         assert main(train_flags(path, tmp_path / "m.json")) == 1
         assert capsys.readouterr().err.startswith("error: line 2: feature index")
 
+    def test_non_utf8_data_exits_1_with_its_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.svm"
+        path.write_bytes(b"+1 1:0.5\n-1 1:\xff\n")
+        assert main(train_flags(path, tmp_path / "m.json")) == 1
+        assert capsys.readouterr().err == (
+            "error: line 2: byte 0xff is not UTF-8 (invalid start byte)\n")
+
     def test_missed_dual_ascent_warns(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "gate.svm"
         path.write_text(serialize_svmlight(make_gaussian_dataset()))
@@ -338,6 +345,21 @@ class TestEval:
         rc = main(["eval", "--predictions", str(preds), "--truth", str(truth)])
         assert rc == 1
         assert f"line 2: non-finite score '{bad}'" in capsys.readouterr().err
+
+    def test_non_utf8_predictions_exit_1_with_their_line(self, tmp_path, capsys):
+        truth, preds = self.write_files(tmp_path, [1, -1, 1], [1.0, -1.0, 0.5], [1, -1, 1])
+        preds.write_bytes(b"0\t1.0\t+1\n1\t-1.0\t-1\n2\t0.5\t+1 \xe9t\xe9\n")
+        assert main(["eval", "--predictions", str(preds), "--truth", str(truth)]) == 1
+        assert capsys.readouterr().err == (
+            "error: line 3: byte 0xe9 is not UTF-8 (invalid continuation byte)\n")
+
+    @pytest.mark.parametrize("ending", ["\r\n", "\r"])
+    def test_predictions_read_with_universal_newlines(self, tmp_path, capsys, ending):
+        y = [1, 1, -1, -1]
+        truth, preds = self.write_files(tmp_path, y, [4.0, 3.0, -1.0, -2.0], y)
+        preds.write_bytes(preds.read_bytes().replace(b"\n", ending.encode()))
+        assert main(["eval", "--predictions", str(preds), "--truth", str(truth)]) == 0
+        assert capsys.readouterr().out == "f1 1.0\nprbep 1.0\nauc 1.0\n"
 
     def test_misaligned_exits_2(self, tmp_path, capsys):
         truth, preds = self.write_files(tmp_path, [1, -1], [1.0, -1.0], [1, -1])
@@ -551,3 +573,10 @@ class TestCsvInput:
         rc = main(train_flags(path, tmp_path / "m.json", **{"--dict-size": "3",
                                                             "--iters": "3"}))
         assert rc == 0
+
+    def test_non_utf8_csv_exits_1_with_its_line(self, tmp_path, capsys):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"label,f1\n+1,1.0\n-1,\xff\n")
+        assert main(train_flags(path, tmp_path / "m.json")) == 1
+        assert capsys.readouterr().err == (
+            "error: line 3: byte 0xff is not UTF-8 (invalid start byte)\n")

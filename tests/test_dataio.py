@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -190,6 +192,65 @@ def test_block_parser_matches_per_token_reference(text):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(dataio, "_BLOCK_ENTRIES", 3)
         assert _outcome(parse_svmlight, text) == _outcome(reference_parse_svmlight, text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_LINE, max_size=8), st.sampled_from([3, dataio._BLOCK_ENTRIES]))
+@example(["+1 1:1 # caf\u00e9", "-1\u00a01:2", "1 \u0663:1"], 3)  # non-ASCII text and digits
+def test_bytes_str_and_crlf_parse_alike(lines, block_entries):
+    text = "\n".join(lines)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dataio, "_BLOCK_ENTRIES", block_entries)
+        outcomes = {_outcome(parse_svmlight, form) for form in (
+            text, text.encode(), text.replace("\n", "\r\n"), text.replace("\n", "\r\n").encode()
+        )}
+    assert len(outcomes) == 1
+
+
+# Eight entries a line, so that the first 4,096-entry block ends with line 512.
+_FULL_LINE = b"+1 " + b" ".join(b"%d:0.5" % j for j in range(1, 9))
+_FAULTY_LINES = {
+    "label": (b"2" + _FULL_LINE[2:], "label '2' not in {+1, -1}"),
+    "value": (_FULL_LINE[:-3] + b"0.x", "malformed feature value in '8:0.x'"),
+    "utf-8": (_FULL_LINE[:-3] + b"0.\xff", "byte 0xff is not UTF-8 (invalid start byte)"),
+}
+
+
+@pytest.mark.parametrize("later", sorted(_FAULTY_LINES))
+@pytest.mark.parametrize("first", sorted(_FAULTY_LINES))
+@pytest.mark.parametrize("line", [511, 512, 513])
+def test_first_fault_on_either_side_of_a_block_boundary(line, first, later):
+    assert dataio._BLOCK_ENTRIES == 4096
+    lines = [_FULL_LINE] * 1024
+    lines[line - 1], message = _FAULTY_LINES[first]
+    lines[line] = _FAULTY_LINES[later][0]  # a second fault on the next line
+    with pytest.raises(DatasetFormatError) as info:
+        parse_svmlight(b"\n".join(lines))
+    assert str(info.value) == f"line {line}: {message}" and info.value.line == line
+
+
+def _traced_parse(data):
+    tracemalloc.start()
+    try:
+        dataset = parse_svmlight(data)
+        return tracemalloc.get_traced_memory()[1], dataset
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("entries", [0, 10])
+def test_parse_memory_grows_with_the_matrix_and_the_entries_not_the_text(entries):
+    # Beyond the dense matrix, the parser keeps 16 bytes an entry (index and
+    # value), under 16 a line (label and entry count) and 1 KB a block; the
+    # text, its decoded copy and its list of lines would each cost more.
+    line = b" ".join([b"-1"] + [b"%d:0.25" % j for j in range(1, entries + 1)]) + b"\n"
+    (small_peak, small), (large_peak, large) = (
+        _traced_parse(b"+1 1:0.5\n" + line * n) for n in (8000, 32000))
+    lines = large.n - small.n
+    # A block closes at 4,096 entries or 4,096 lines, whichever comes first.
+    lines_per_block = -(-dataio._BLOCK_ENTRIES // max(entries, 1))
+    kept = 16 * entries * lines + 16 * lines + 1024 * -(-lines // lines_per_block)
+    assert large_peak - small_peak <= large.features.nbytes - small.features.nbytes + kept
 
 
 class TestRoundTrip:

@@ -1,9 +1,10 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from sparsetuple import hyperloss
+from sparsetuple import hyperloss, trainer
 from sparsetuple.dataio import Dataset
 from sparsetuple.hyperloss import predict
 from sparsetuple.measures import DegenerateClassError, MeasureKind, tuple_loss
@@ -193,6 +194,28 @@ class TestFit:
             with pytest.raises(NumericalDivergenceError, match="iteration") as info:
                 fit(ds, cfg)
         assert info.value.iteration >= 0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1.1e140, -1.1e140])
+    def test_non_finite_or_overflowing_arrays_diverge(self, bad):
+        arr = np.zeros((3, 4))
+        arr[1, 2] = bad
+        with pytest.raises(NumericalDivergenceError, match="at iteration 5$"):
+            trainer._ensure_finite(5, np.ones(2), arr)
+
+    def test_magnitudes_up_to_the_overflow_limit_pass(self):
+        trainer._ensure_finite(0, np.array([1e140, -1e140]), np.empty((0, 3)))
+
+    def test_peak_memory_is_at_most_six_code_matrices(self):
+        # The codes, their reweighting, the loss term, the gradient and one
+        # scratch array: the step itself is taken in place.
+        ds = make_gaussian_dataset(n=6000, d=20)
+        tracemalloc.start()
+        try:
+            fit(ds, TrainConfig(iters=3, dict_size=40))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 40 * 6000 * 8
 
     def test_oracle_runs_once_per_iteration(self, monkeypatch):
         # the argmax that scores iteration t's end is the one t + 1 starts from
