@@ -124,11 +124,9 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_predictions(path: str) -> tuple[np.ndarray, np.ndarray]:
-    scores, labels = [], []
-    text = _decode(Path(path).read_bytes())  # lines end at \n, \r\n or \r, as in text mode
-    for line_no, raw in enumerate(io.StringIO(text, newline=None), start=1):
-        line = raw.strip()
+def _raise_prediction_fault(lines: list[str]) -> None:
+    """Raise the first fault the per-line rules find in stripped prediction lines."""
+    for line_no, line in enumerate(lines, start=1):
         if not line:
             continue
         parts = line.split("\t")
@@ -143,11 +141,21 @@ def _read_predictions(path: str) -> tuple[np.ndarray, np.ndarray]:
             raise DatasetFormatError(f"non-finite score {parts[1]!r}", line_no)
         if label not in (-1, 1):
             raise DatasetFormatError(f"label {label} not in {{+1, -1}}", line_no)
-        scores.append(score)
-        labels.append(label)
-    if not labels:
-        raise DatasetFormatError("empty predictions file")
-    return np.array(scores), np.array(labels, dtype=np.int64)
+    raise DatasetFormatError("empty predictions file")
+
+
+def _read_predictions(path: str) -> tuple[np.ndarray, np.ndarray]:
+    text = _decode(Path(path).read_bytes())  # lines end at \n, \r\n or \r, as in text mode
+    lines = [raw.strip() for raw in io.StringIO(text, newline=None)]
+    try:  # the whole file at once; the per-line rules name the first fault
+        _, scores, labels = zip(*(line.split("\t") for line in lines if line), strict=True)
+        scores = np.fromiter(map(float, scores), np.float64, len(scores))
+        labels = np.fromiter(map(int, labels), np.int64, len(labels))
+        if np.all(np.isfinite(scores)) and np.all(np.abs(labels) == 1):
+            return scores, labels
+    except (ValueError, OverflowError):
+        pass
+    _raise_prediction_fault(lines)
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:

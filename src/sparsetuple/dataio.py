@@ -8,9 +8,12 @@ storage contract.
 
 svmlight indices and values follow Python's ``int()`` and ``float()``
 syntax.  The first error in file order is reported, with its line.  Input
-is read a line at a time and converted in blocks of about 4,096 entries;
-besides the dense matrix, parsing keeps 16 bytes an entry, under 16 a line
-and under 1 KB a block, plus the working set of one block.
+is read and converted in blocks of whole lines of about 16 KB.  A canonical
+block, single-spaced ASCII ``label index:value ...`` lines with no tab, CR,
+``#`` or blank line, is checked and split as a whole; any other block is
+tokenized a line at a time and re-joined in canonical form first.  Besides
+the dense matrix, parsing keeps 16 bytes an entry, under 16 a line and
+under 1 KB a block, plus the working set of one block.
 """
 
 from __future__ import annotations
@@ -94,8 +97,14 @@ def _parse_label(token: str, line_no: int) -> int:
         raise DatasetFormatError(f"label {token!r} not in {{+1, -1}}", line_no) from None
 
 
-# Feature entries, or lines, converted at a time: one block bounds the working memory.
-_BLOCK_ENTRIES = 4096
+# Bytes of whole lines read and converted at a time: one block bounds the working memory.
+_BLOCK_BYTES = 1 << 14
+# A canonical block holds only ' :' pairs and newlines once the printable
+# ASCII bytes other than ' ', ':' and '#' are deleted.  Tokenized text holds
+# no other whitespace and no '#', so there every byte but ' ', ':' and
+# newline is deleted.
+_PLAIN = bytes(sorted(set(range(0x21, 0x7F)) - set(b":#")))
+_NOT_SEPARATOR = bytes(sorted(set(range(256)) - set(b" :\n")))
 
 
 def _raise_first_error(lines) -> None:
@@ -128,56 +137,88 @@ def _raise_first_error(lines) -> None:
             previous = index
 
 
-def _convert_block(lines):
-    """Labels, entries per line, indices and values; checks whole blocks at once."""
-    labels = [_LABEL_TOKENS.get(tokens[0]) for _, tokens in lines]
-    entries = [token for _, tokens in lines for token in tokens[1:]]
-    if None in labels or set(map(str.count, entries, repeat(":"))) - {1}:
-        _raise_first_error(lines)
-    # Tokens hold no whitespace, so this splits each one at its only colon.
-    pieces = " ".join(entries).replace(":", " ").split(" ")
+def _pairs_up(block: bytes, ignored: bytes) -> bool:
+    """Whether ``block`` holds only ``' :'`` pairs and newlines once ``ignored`` is deleted."""
+    return not block.translate(None, ignored).replace(b" :", b"").strip(b"\n")
+
+
+def _tokenize(text: str, first: int) -> list:
+    """``(line number, tokens)`` of each line of ``text`` that holds a token."""
+    lines = []
+    for line_no, line in enumerate(text.split("\n"), start=first):
+        tokens = line.split("#", 1)[0].split()
+        if tokens:
+            lines.append((line_no, tokens))
+    return lines
+
+
+def _blocks(data):
+    """Each block as canonical text: ``label( index:value)*`` lines, single-spaced.
+
+    Yields the text, the number of its first line and, for a block that had
+    to be tokenized, its ``(line number, tokens)`` pairs, else None.
+    """
+    stream = io.BytesIO(data.encode("utf-8") if isinstance(data, str) else data)
+    first = 1
+    while lines := stream.readlines(_BLOCK_BYTES):
+        block = b"".join(lines)
+        if _pairs_up(block, _PLAIN) and b"\n\n" not in block and block[:1] != b"\n":
+            yield block.rstrip(b"\n").decode("ascii"), first, None
+        else:
+            fault = None
+            try:
+                text = _decode(block, first)
+            except DatasetFormatError as exc:  # a fault on an earlier line is reported first
+                fault, text = exc, b"".join(lines[:exc.line - first]).decode("utf-8")
+            tokenized = _tokenize(text, first)
+            if tokenized:
+                text = "\n".join(" ".join(tokens) for _, tokens in tokenized)
+                if not _pairs_up(text.encode("utf-8"), _NOT_SEPARATOR):
+                    _raise_first_error(tokenized)  # a token without a colon, or with two
+                yield text, first, tokenized
+            if fault:
+                raise fault
+        first += len(lines)
+
+
+def _convert_block(text: str):
+    """Labels, entries per line, indices and values of canonical lines; None on a fault."""
+    heads, _, rests = zip(*map(str.partition, text.split("\n"), repeat(" ")))
+    labels = list(map(_LABEL_TOKENS.get, heads))
+    if None in labels:
+        return None
+    counts = np.fromiter(map(str.count, rests, repeat(":")), np.int32, len(rests))
+    total = int(counts.sum())
+    # Each entry holds one colon, so its index and value are the pieces around it.
+    pieces = " ".join(filter(None, rests)).replace(":", " ").split(" ") if total else []
+    index_strs = pieces[0::2]
     try:
-        indices = np.fromiter(map(int, pieces[0::2]), np.int64, len(entries))
-        values = np.fromiter(map(float, pieces[1::2]), np.float64, len(entries))
+        index_of = {index_str: int(index_str) for index_str in set(index_strs)}
+        indices = np.fromiter(map(index_of.__getitem__, index_strs), np.int64, total)
+        values = np.fromiter(map(float, pieces[1::2]), np.float64, total)
     except (ValueError, OverflowError):
-        _raise_first_error(lines)
-    counts = np.array([len(tokens) - 1 for _, tokens in lines], dtype=np.int32)
+        return None
     # Each index must exceed the one before it in its row, or 0 at a row start.
     previous = np.concatenate(([0], indices[:-1]))
     previous[(np.cumsum(counts) - counts)[counts > 0]] = 0
     if not (np.all(indices > previous) and np.all(np.isfinite(values))):
-        _raise_first_error(lines)
+        return None
     return labels, counts, indices, values
-
-
-def _line_blocks(data):
-    """``(line number, tokens)`` of each non-empty line, a block at a time."""
-    lines, entries = [], 0
-    stream = io.BytesIO(data.encode("utf-8") if isinstance(data, str) else data)
-    for line_no, raw in enumerate(stream, start=1):
-        try:
-            tokens = _decode(raw, line_no).split("#", 1)[0].split()
-        except DatasetFormatError:
-            yield lines  # a fault on an earlier line is reported first
-            raise
-        if tokens:
-            lines.append((line_no, tokens))
-            entries += len(tokens) - 1
-        if entries >= _BLOCK_ENTRIES or len(lines) >= _BLOCK_ENTRIES:
-            yield lines
-            lines, entries = [], 0
-    yield lines
 
 
 def parse_svmlight(data) -> Dataset:
     """Parse svmlight text (UTF-8 bytes, or a str, encoded first) into a dense Dataset."""
     labels, blocks = [], []
     top = top_line = 0  # the largest index, and the line it first appears on
-    for lines in filter(None, _line_blocks(data)):
-        block_labels, counts, indices, values = _convert_block(lines)
+    for text, first, tokenized in _blocks(data):
+        converted = _convert_block(text)
+        if converted is None:
+            _raise_first_error(tokenized or _tokenize(text, first))
+        block_labels, counts, indices, values = converted
         if indices.max(initial=0) > top:
             top, at = int(indices.max()), int(np.argmax(indices))
-            top_line = lines[np.searchsorted(np.cumsum(counts), at, side="right")][0]
+            row = int(np.searchsorted(np.cumsum(counts), at, side="right"))
+            top_line = tokenized[row][0] if tokenized else first + row
         blocks.append((len(labels), counts, indices, values))
         labels += block_labels
     if not labels:

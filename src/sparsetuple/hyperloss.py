@@ -16,8 +16,7 @@ through its false-negative/false-positive counts, the maximum over the
 2^n tuple space collapses to a search over count pairs: for fixed counts
 ``(a, b)`` the best candidate flips the ``a`` lowest-scoring true positives
 and the ``b`` highest-scoring true negatives.  :func:`argmax_F_oracle`
-implements that search in O(n log n) time and O(n) memory; the exponential
-:func:`argmax_F_bruteforce` exists as its reference.
+implements that search in O(n log n) time and O(n) memory.
 """
 
 from __future__ import annotations
@@ -37,21 +36,19 @@ __all__ = [
     "ArgmaxResult",
     "point_scores",
     "predict",
-    "argmax_F_bruteforce",
     "argmax_F_oracle",
     "upper_bound",
     "flip_coefficients",
     "loss_gradient_w",
 ]
 
-BRUTEFORCE_MAX_POINTS = 20
 
 @dataclass(frozen=True)
 class ArgmaxResult:
     """Outcome of maximizing F over the candidate tuple space.
 
-    ``maximizers`` holds the full tie set in brute-force mode and a single
-    deterministic representative in oracle mode; ``counts`` is the
+    ``maximizers`` holds one deterministic representative from the oracle,
+    or the full tie set from an exhaustive search; ``counts`` is the
     ``(fn, fp)`` pair of the first maximizer.
     """
 
@@ -84,48 +81,6 @@ def predict(w, codes) -> np.ndarray:
     """
     q = point_scores(w, codes)
     return np.where(q >= 0.0, 1, -1).astype(np.int64)
-
-
-def _all_label_tuples(n: int) -> np.ndarray:
-    """All 2^n label tuples; row r maps bit i of r to the label of point i."""
-    indices = np.arange(2**n, dtype=np.int64)
-    bits = (indices[:, None] >> np.arange(n)) & 1
-    return (2 * bits - 1).astype(np.int8)
-
-
-def argmax_F_bruteforce(
-    w, codes, y_true, kind: MeasureKind, max_points: int = BRUTEFORCE_MAX_POINTS
-) -> ArgmaxResult:
-    """Exact maximum of F by enumerating the whole tuple space.
-
-    Returns every maximizer (the tie set, compared at exact float equality).
-    Guarded to small n; use :func:`argmax_F_oracle` beyond the guard.
-    """
-    q = point_scores(w, codes)
-    y = as_label_array(y_true)
-    n = y.size
-    if q.size != n:
-        raise ValueError(f"dimension mismatch: {q.size} points vs {n} labels")
-    if n > max_points:
-        raise ValueError(
-            f"brute-force enumeration refused for n={n} > {max_points}; "
-            "use argmax_F_oracle instead"
-        )
-    n_pos = int(np.count_nonzero(y == 1))
-    n_neg = n - n_pos
-    candidates = _all_label_tuples(n)
-    fn = np.count_nonzero((candidates == -1) & (y == 1)[None, :], axis=1)
-    fp = np.count_nonzero((candidates == 1) & (y == -1)[None, :], axis=1)
-    if kind is MeasureKind.PRBEP:
-        keep = fn == fp
-        candidates, fn, fp = candidates[keep], fn[keep], fp[keep]
-    linear = (candidates - y[None, :]).astype(np.float64) @ q
-    values = linear + loss_grid(kind, fn, fp, n_pos, n_neg)
-    max_value = float(values.max())
-    selected = np.flatnonzero(values == max_value)
-    maximizers = tuple(candidates[i].astype(np.int64) for i in selected)
-    counts = (int(fn[selected[0]]), int(fp[selected[0]]))
-    return ArgmaxResult(max_value, maximizers, counts)
 
 
 def argmax_F_oracle(w, codes, y_true, kind: MeasureKind) -> ArgmaxResult:

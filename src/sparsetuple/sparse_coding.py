@@ -22,7 +22,6 @@ __all__ = [
     "smoothing_weights",
     "code_gradient_batch",
     "solve_dictionary",
-    "lagrangian_gradient",
     "dual_ascent_alphas",
 ]
 
@@ -115,15 +114,6 @@ def solve_dictionary(X: np.ndarray, S: np.ndarray, alphas: np.ndarray) -> np.nda
     if alphas.shape != (S.shape[0],):
         raise ValueError("need one multiplier per dictionary element")
     return _solve_gram(S @ S.T + np.diag(alphas), S @ X.T).T
-
-
-def lagrangian_gradient(X, S, alphas, elements) -> np.ndarray:
-    """Gradient in D of the norm-constrained reconstruction Lagrangian."""
-    X = np.asarray(X, dtype=np.float64)
-    S = np.asarray(S, dtype=np.float64)
-    alphas = np.asarray(alphas, dtype=np.float64)
-    elements = np.asarray(elements, dtype=np.float64)
-    return -2.0 * (X - elements @ S) @ S.T + 2.0 * elements * alphas[None, :]
 
 
 def dual_ascent_alphas(

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from sparsetuple import Dataset
-from sparsetuple.measures import MeasureKind
+from sparsetuple.hyperloss import ArgmaxResult, point_scores
+from sparsetuple.measures import MeasureKind, as_label_array, loss_grid
 
 ALL_KINDS = (MeasureKind.F1, MeasureKind.PRBEP, MeasureKind.AUC)
 
@@ -48,6 +49,60 @@ def random_instance(rng, kind, n_max=12, m_max=4):
 def exhaustive_label_tuples(n):
     """All 2^n label tuples as an array, built independently of the package."""
     return np.array(list(itertools.product((-1, 1), repeat=n)), dtype=np.int64)
+
+
+BRUTEFORCE_MAX_POINTS = 20
+
+
+def _all_label_tuples(n: int) -> np.ndarray:
+    """All 2^n label tuples; row r maps bit i of r to the label of point i."""
+    indices = np.arange(2**n, dtype=np.int64)
+    bits = (indices[:, None] >> np.arange(n)) & 1
+    return (2 * bits - 1).astype(np.int8)
+
+
+def argmax_F_bruteforce(
+    w, codes, y_true, kind: MeasureKind, max_points: int = BRUTEFORCE_MAX_POINTS
+) -> ArgmaxResult:
+    """Exact maximum of F by enumerating the whole tuple space: the oracle's reference.
+
+    Returns every maximizer (the tie set, compared at exact float equality).
+    Guarded to small n; use :func:`argmax_F_oracle` beyond the guard.
+    """
+    q = point_scores(w, codes)
+    y = as_label_array(y_true)
+    n = y.size
+    if q.size != n:
+        raise ValueError(f"dimension mismatch: {q.size} points vs {n} labels")
+    if n > max_points:
+        raise ValueError(
+            f"brute-force enumeration refused for n={n} > {max_points}; "
+            "use argmax_F_oracle instead"
+        )
+    n_pos = int(np.count_nonzero(y == 1))
+    n_neg = n - n_pos
+    candidates = _all_label_tuples(n)
+    fn = np.count_nonzero((candidates == -1) & (y == 1)[None, :], axis=1)
+    fp = np.count_nonzero((candidates == 1) & (y == -1)[None, :], axis=1)
+    if kind is MeasureKind.PRBEP:
+        keep = fn == fp
+        candidates, fn, fp = candidates[keep], fn[keep], fp[keep]
+    linear = (candidates - y[None, :]).astype(np.float64) @ q
+    values = linear + loss_grid(kind, fn, fp, n_pos, n_neg)
+    max_value = float(values.max())
+    selected = np.flatnonzero(values == max_value)
+    maximizers = tuple(candidates[i].astype(np.int64) for i in selected)
+    counts = (int(fn[selected[0]]), int(fp[selected[0]]))
+    return ArgmaxResult(max_value, maximizers, counts)
+
+
+def lagrangian_gradient(X, S, alphas, elements) -> np.ndarray:
+    """Gradient in D of the norm-constrained reconstruction Lagrangian."""
+    X = np.asarray(X, dtype=np.float64)
+    S = np.asarray(S, dtype=np.float64)
+    alphas = np.asarray(alphas, dtype=np.float64)
+    elements = np.asarray(elements, dtype=np.float64)
+    return -2.0 * (X - elements @ S) @ S.T + 2.0 * elements * alphas[None, :]
 
 
 def central_difference(func, x, h=1e-5):

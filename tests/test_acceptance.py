@@ -14,7 +14,6 @@ import pytest
 from sparsetuple.cli import main
 from sparsetuple.dataio import serialize_svmlight
 from sparsetuple.hyperloss import (
-    argmax_F_bruteforce,
     argmax_F_oracle,
     flip_coefficients,
     loss_gradient_w,
@@ -26,7 +25,6 @@ from sparsetuple.measures import MeasureKind, UndefinedTupleLossError, tuple_los
 from sparsetuple.sparse_coding import (
     code_gradient_batch,
     dual_ascent_alphas,
-    lagrangian_gradient,
     smoothing_weights,
     solve_dictionary,
 )
@@ -34,8 +32,10 @@ from sparsetuple.trainer import TrainConfig, fit
 
 from conftest import (
     ALL_KINDS,
+    argmax_F_bruteforce,
     central_difference,
     exhaustive_label_tuples,
+    lagrangian_gradient,
     make_gaussian_dataset,
     random_instance,
 )

@@ -361,6 +361,24 @@ class TestEval:
         assert main(["eval", "--predictions", str(preds), "--truth", str(truth)]) == 0
         assert capsys.readouterr().out == "f1 1.0\nprbep 1.0\nauc 1.0\n"
 
+    @pytest.mark.parametrize("lines, message", [
+        (["0\t1.0\t+1", "1\t0.5\t2", "2\t0.5"], "line 2: label 2 not in {+1, -1}"),
+        (["0\t1.0\t+1", "1\t0.5\t3", "2\t0.5\t0"], "line 2: label 3 not in {+1, -1}"),
+        (["0\t1.0\t+1", "1\t0.5\t-1\tx", "2\t0.5\t-1"],
+         "line 2: prediction line must be id<TAB>score<TAB>label"),
+        (["0\t1.0\t+1", "", "2\t0.5", "3\tx\t+1"],
+         "line 3: prediction line must be id<TAB>score<TAB>label"),
+        (["0\t1.0\t+1", "1\t0.5\t-99999999999999999999"],
+         "line 2: label -99999999999999999999 not in {+1, -1}"),
+        (["0\t1.0\t+1.0", "1\tnan\t+1"], "line 1: malformed prediction line"),
+        (["", "  "], "empty predictions file"),
+    ])
+    def test_first_fault_in_predictions_is_reported(self, tmp_path, capsys, lines, message):
+        truth, preds = self.write_files(tmp_path, [1, -1], [1.0, -1.0], [1, -1])
+        preds.write_text("\n".join(lines) + "\n")
+        assert main(["eval", "--predictions", str(preds), "--truth", str(truth)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_misaligned_exits_2(self, tmp_path, capsys):
         truth, preds = self.write_files(tmp_path, [1, -1], [1.0, -1.0], [1, -1])
         short = tmp_path / "short.tsv"

@@ -72,13 +72,18 @@ class TestParseSvmlight:
             parse_svmlight(f"+1 {2**59}:1\n-1 1:1 {2**60}:1\n+1 2:1")
         assert info.value.line == 2
 
-    @pytest.mark.parametrize("block_entries", [3, dataio._BLOCK_ENTRIES])
+    def test_unallocatable_matrix_line_counts_comments_and_blank_lines(self):
+        with pytest.raises(DatasetFormatError, match="too large") as info:
+            parse_svmlight(f"# header\n+1 {2**59}:1\n\n-1 1:1\t{2**60}:1\n+1 2:1")
+        assert info.value.line == 4
+
+    @pytest.mark.parametrize("block_bytes", [3, dataio._BLOCK_BYTES])
     @pytest.mark.parametrize("text, message", [
         ("+1 2:1 1:1\n2 1:1", "line 1: feature indices not strictly increasing at '1:1'"),
         ("2 1:1\n+1 1:x", "line 1: label '2' not in {+1, -1}"),
     ])
-    def test_first_error_in_file_order(self, monkeypatch, block_entries, text, message):
-        monkeypatch.setattr(dataio, "_BLOCK_ENTRIES", block_entries)
+    def test_first_error_in_file_order(self, monkeypatch, block_bytes, text, message):
+        monkeypatch.setattr(dataio, "_BLOCK_BYTES", block_bytes)
         with pytest.raises(DatasetFormatError) as info:
             parse_svmlight(text)
         assert str(info.value) == message and info.value.line == 1
@@ -187,41 +192,68 @@ def _outcome(parse, text):
 @given(_TEXT)
 @example("+1 1:2:3 4\n-1 1:1")  # two colons then none: the pieces still pair up
 @example("+1 3:1\n-1 1:1 2:1")  # indices restart at each row
+@example("+1 1:1\n   \n-1 2:1")  # a whitespace-only line
+@example("+1 1: 2:3")  # the separators pair up, but a value is empty
+@example("+1 0_3:1\n-1 +3:1 4:2\n+1 03:1")  # index forms int() accepts
 def test_block_parser_matches_per_token_reference(text):
-    # Blocks of 3 entries put block boundaries inside and between lines.
+    # Blocks of 8 bytes hold one line, or a few short ones.
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(dataio, "_BLOCK_ENTRIES", 3)
+        patch.setattr(dataio, "_BLOCK_BYTES", 8)
         assert _outcome(parse_svmlight, text) == _outcome(reference_parse_svmlight, text)
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(_LINE, max_size=8), st.sampled_from([3, dataio._BLOCK_ENTRIES]))
-@example(["+1 1:1 # caf\u00e9", "-1\u00a01:2", "1 \u0663:1"], 3)  # non-ASCII text and digits
-def test_bytes_str_and_crlf_parse_alike(lines, block_entries):
+@given(st.lists(_LINE, max_size=8), st.sampled_from([8, dataio._BLOCK_BYTES]))
+@example(["+1 1:1 # caf\u00e9", "-1\u00a01:2", "1 \u0663:1"], 8)  # non-ASCII text and digits
+def test_bytes_str_and_crlf_parse_alike(lines, block_bytes):
     text = "\n".join(lines)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(dataio, "_BLOCK_ENTRIES", block_entries)
+        patch.setattr(dataio, "_BLOCK_BYTES", block_bytes)
         outcomes = {_outcome(parse_svmlight, form) for form in (
             text, text.encode(), text.replace("\n", "\r\n"), text.replace("\n", "\r\n").encode()
         )}
     assert len(outcomes) == 1
 
 
-# Eight entries a line, so that the first 4,096-entry block ends with line 512.
-_FULL_LINE = b"+1 " + b" ".join(b"%d:0.5" % j for j in range(1, 9))
+_GAP = st.sampled_from([" ", "  ", "\t", " \t ", "\t\t"])
+_PAD = st.sampled_from(["", " ", "\t", "   "])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_LINE, max_size=8), st.sampled_from([8, dataio._BLOCK_BYTES]), st.data())
+def test_respaced_text_parses_like_its_canonical_form(lines, block_bytes, data):
+    # The canonical form keeps each line's tokens, single-spaced, and its line number.
+    token_lines = [line.split("#", 1)[0].split() for line in lines]
+    canonical = "\n".join(map(" ".join, token_lines))
+    respaced = "".join(
+        data.draw(_PAD) + "".join(token + data.draw(_GAP) for token in tokens[:-1])
+        + "".join(tokens[-1:]) + data.draw(_PAD) + data.draw(_COMMENT)
+        + data.draw(st.sampled_from(["\n", "\r\n"]))
+        for tokens in token_lines
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dataio, "_BLOCK_BYTES", block_bytes)
+        assert _outcome(parse_svmlight, respaced) == _outcome(parse_svmlight, canonical)
+
+
+# Lines of 1/512 of a block with their newline, padded with digits of the
+# first value; each faulty line keeps that length.
+_TAIL = b" 2:0.5 3:0.5 4:0.5"
+_FULL_LINE = b"+1 1:0.".ljust(dataio._BLOCK_BYTES // 512 - 1 - len(_TAIL), b"5") + _TAIL
 _FAULTY_LINES = {
-    "label": (b"2" + _FULL_LINE[2:], "label '2' not in {+1, -1}"),
-    "value": (_FULL_LINE[:-3] + b"0.x", "malformed feature value in '8:0.x'"),
+    "label": (b"-2" + _FULL_LINE[2:], "label '-2' not in {+1, -1}"),
+    "value": (_FULL_LINE[:-3] + b"0.x", "malformed feature value in '4:0.x'"),
     "utf-8": (_FULL_LINE[:-3] + b"0.\xff", "byte 0xff is not UTF-8 (invalid start byte)"),
 }
+# A block ends with the first line that brings it to _BLOCK_BYTES.
+_BOUNDARY = -(-dataio._BLOCK_BYTES // (len(_FULL_LINE) + 1))
 
 
 @pytest.mark.parametrize("later", sorted(_FAULTY_LINES))
 @pytest.mark.parametrize("first", sorted(_FAULTY_LINES))
-@pytest.mark.parametrize("line", [511, 512, 513])
+@pytest.mark.parametrize("line", [_BOUNDARY - 1, _BOUNDARY, _BOUNDARY + 1])
 def test_first_fault_on_either_side_of_a_block_boundary(line, first, later):
-    assert dataio._BLOCK_ENTRIES == 4096
-    lines = [_FULL_LINE] * 1024
+    lines = [_FULL_LINE] * (2 * _BOUNDARY)
     lines[line - 1], message = _FAULTY_LINES[first]
     lines[line] = _FAULTY_LINES[later][0]  # a second fault on the next line
     with pytest.raises(DatasetFormatError) as info:
@@ -247,8 +279,8 @@ def test_parse_memory_grows_with_the_matrix_and_the_entries_not_the_text(entries
     (small_peak, small), (large_peak, large) = (
         _traced_parse(b"+1 1:0.5\n" + line * n) for n in (8000, 32000))
     lines = large.n - small.n
-    # A block closes at 4,096 entries or 4,096 lines, whichever comes first.
-    lines_per_block = -(-dataio._BLOCK_ENTRIES // max(entries, 1))
+    # A block closes with the first line that brings it to _BLOCK_BYTES.
+    lines_per_block = -(-dataio._BLOCK_BYTES // len(line))
     kept = 16 * entries * lines + 16 * lines + 1024 * -(-lines // lines_per_block)
     assert large_peak - small_peak <= large.features.nbytes - small.features.nbytes + kept
 

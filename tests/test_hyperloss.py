@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from sparsetuple.hyperloss import (
     ArgmaxResult,
-    argmax_F_bruteforce,
     argmax_F_oracle,
     flip_coefficients,
     loss_gradient_w,
@@ -21,7 +20,13 @@ from sparsetuple.measures import (
     tuple_loss,
 )
 
-from conftest import ALL_KINDS, central_difference, exhaustive_label_tuples, random_instance
+from conftest import (
+    ALL_KINDS,
+    argmax_F_bruteforce,
+    central_difference,
+    exhaustive_label_tuples,
+    random_instance,
+)
 
 
 def F(w, codes, y_true, y_cand, kind):

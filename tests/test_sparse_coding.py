@@ -6,13 +6,12 @@ from sparsetuple.sparse_coding import (
     SingularGramError,
     code_gradient_batch,
     dual_ascent_alphas,
-    lagrangian_gradient,
     smoothing_weights,
     solve_dictionary,
 )
 from sparsetuple.trainer import TrainConfig, _objective_entry, encode
 
-from conftest import central_difference
+from conftest import central_difference, lagrangian_gradient
 
 
 def one_point_gradient(D, x, s, u, c1, loss_term):
