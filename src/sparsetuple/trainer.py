@@ -143,15 +143,21 @@ class Model:
 
 
 def ridge_codes(elements: np.ndarray, X: np.ndarray, c1: float) -> np.ndarray:
-    """Codes from the ridge system ``(D'D + c1 I) s = D'x`` for each column."""
+    """Codes from the ridge system ``(D'D + c1 I) s = D'x`` for each column.
+
+    Solves for the m-by-d projection ``(D'D + c1 I)^-1 D'`` once and applies
+    it to ``X``, so the only m-by-n array is the result.  The projection is
+    the dictionary's size; it outweighs one m-by-n array only when d > n,
+    a case accepted rather than given a second path.
+    """
     m = elements.shape[1]
     gram = elements.T @ elements + c1 * np.eye(m)
-    rhs = elements.T @ X
     try:
-        return np.linalg.solve(gram, rhs)
+        projection = np.linalg.solve(gram, elements.T)
     except np.linalg.LinAlgError:
         # c1 = 0 with rank-deficient elements; fall back to least squares.
-        return np.linalg.lstsq(gram, rhs, rcond=None)[0]
+        projection = np.linalg.lstsq(gram, elements.T, rcond=None)[0]
+    return projection @ X
 
 
 def initialize(
@@ -237,6 +243,8 @@ def fit(data: Dataset, config: TrainConfig, observer=None) -> Model:
     alphas = dictionary.multipliers
     X = data.features.T
     elements = sparse_coding.solve_dictionary(X, codes, alphas)
+    # Each later dictionary is checked where the ascent returns it.
+    _ensure_finite(0, elements)
     trace: list[TraceEntry] = []
     converged: list[bool] = []
     result = hyperloss.argmax_F_oracle(weights, codes, y, config.measure)
@@ -264,7 +272,7 @@ def fit(data: Dataset, config: TrainConfig, observer=None) -> Model:
 
         if observer is not None:
             observer("weights", iteration)
-        _ensure_finite(iteration, elements, codes, weights)
+        _ensure_finite(iteration, codes, weights)
 
         try:
             alphas, ascent_ok, elements = sparse_coding.dual_ascent_alphas(
@@ -292,7 +300,9 @@ def encode(dictionary: Dictionary, features, config: TrainConfig) -> np.ndarray:
     ``features``: the minimizer of ``||x - D s||^2 + c1 ||s||^2``.  They are
     dense, not exactly sparse, as are the codes ``fit`` trains; with
     ``c1 = 0`` and a rank-deficient dictionary they are the least-squares
-    solution.  Fully deterministic.
+    solution.  Fully deterministic.  Beyond the m-by-n codes it holds the
+    m-by-d projection, the same size as the dictionary; that is more than
+    the codes only when d > n, which is accepted rather than branched on.
     """
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != dictionary.d:

@@ -112,6 +112,14 @@ class TestInitialize:
         dic, _, _ = initialize(ds, cfg, np.random.default_rng(7))
         assert dic.m == 9
 
+    def test_starting_codes_are_the_test_time_codes(self):
+        # training and test codes come from one map: the starting codes are
+        # encode of the training features under the initial dictionary
+        ds = small_dataset(n=60, d=7)
+        cfg = TrainConfig(dict_size=9, c1=0.3)
+        dic, codes, _ = initialize(ds, cfg, np.random.default_rng(2))
+        np.testing.assert_array_equal(codes, encode(dic, ds.features, cfg))
+
 
 class TestFit:
     def test_trace_has_one_entry_per_iteration(self):
@@ -201,6 +209,21 @@ class TestFit:
         arr[1, 2] = bad
         with pytest.raises(NumericalDivergenceError, match="at iteration 5$"):
             trainer._ensure_finite(5, np.ones(2), arr)
+
+    def test_non_finite_initial_dictionary_diverges_at_iteration_0(self, monkeypatch):
+        # the first dictionary is checked once, before any iteration runs;
+        # later ones are checked where the ascent returns them
+        def poisoned(*args):
+            elements = solve_dictionary(*args)
+            elements[0, 0] = np.nan
+            return elements
+
+        monkeypatch.setattr(trainer.sparse_coding, "solve_dictionary", poisoned)
+        stages = []
+        with pytest.raises(NumericalDivergenceError, match="at iteration 0$"):
+            fit(small_dataset(), TrainConfig(iters=3, dict_size=4),
+                observer=lambda stage, iteration: stages.append(stage))
+        assert stages == []
 
     def test_magnitudes_up_to_the_overflow_limit_pass(self):
         trainer._ensure_finite(0, np.array([1e140, -1e140]), np.empty((0, 3)))
@@ -296,6 +319,21 @@ class TestEncode:
         x[2] = 0.0  # inside the span of D
         codes = encode(Dictionary(D, 1.0, np.zeros(4)), x.T, TrainConfig(c1=0.0))
         np.testing.assert_allclose(D @ codes, x, rtol=0, atol=1e-12)
+
+    def test_peak_memory_is_the_codes_plus_the_projection(self):
+        # the m-by-n codes and the m-by-d projection; no m-by-n right-hand
+        # side, nor a solver's copy of one
+        n, d, m = 8000, 20, 40
+        rng = np.random.default_rng(53)
+        dictionary = Dictionary(rng.normal(size=(d, m)), 1.0, np.zeros(m))
+        features = rng.normal(size=(n, d))
+        tracemalloc.start()
+        try:
+            encode(dictionary, features, TrainConfig(c1=0.1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * m * (n + d) * 8
 
     def test_zero_input_gives_zero_code(self):
         ds = small_dataset()
