@@ -6,7 +6,7 @@ trained to minimize an upper bound of a chosen multivariate loss (F1,
 precision-recall break-even point, or AUC) rather than a per-point loss.
 """
 
-from .dataio import Dataset, DatasetFormatError, FoldPlan, kfold_split, parse_csv, parse_svmlight
+from .dataio import Dataset, DatasetFormatError, kfold_split, parse_csv, parse_svmlight
 from .measures import (
     ConfusionCounts,
     DegenerateClassError,
@@ -30,7 +30,6 @@ __all__ = [
     "DatasetFormatError",
     "DegenerateClassError",
     "Dictionary",
-    "FoldPlan",
     "MeasureKind",
     "Model",
     "TrainConfig",

@@ -1,10 +1,12 @@
 """Batch command-line interface.
 
 Subcommands: ``train``, ``predict``, ``eval``, ``cv``, ``sweep``.  Every
-command is deterministic given its flags and seed.  Exit codes: 0 success,
-1 data/model parse error, 2 configuration error (including degenerate
-classes and dimension mismatches), 3 numerical failure; each failure prints
-a one-line diagnostic on stderr.
+command is deterministic given its flags and seed.  ``cv`` and ``sweep``
+train their folds through one runner, in this process or on one pool of
+worker processes, and report a failing fold once every fold has trained.
+Exit codes: 0 success, 1 data/model parse error, 2 configuration error
+(including degenerate classes and dimension mismatches), 3 numerical
+failure; each failure prints a one-line diagnostic on stderr.
 """
 
 from __future__ import annotations
@@ -16,16 +18,13 @@ import json
 import os
 import sys
 import time
-from contextlib import contextmanager
 from dataclasses import astuple, fields, replace
-from functools import partial
 from itertools import product
 from pathlib import Path
 
 import numpy as np
 
-from .dataio import (Dataset, DatasetFormatError, FoldPlan, _decode, kfold_split, parse_csv,
-                     parse_svmlight)
+from .dataio import Dataset, DatasetFormatError, _decode, kfold_split, parse_csv, parse_svmlight
 from .measures import (
     DegenerateClassError,
     MeasureKind,
@@ -116,10 +115,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     codes = encode(model.dictionary, dataset.features, model.config)
     scores = point_scores(model.weights, codes)
     labels = predict(model.weights, codes)
-    lines = []
-    for i in range(dataset.n):
-        identifier = dataset.ids[i] if dataset.ids is not None else str(i)
-        lines.append(f"{identifier}\t{float(scores[i])!r}\t{int(labels[i]):+d}")
+    lines = [f"{i}\t{float(scores[i])!r}\t{int(labels[i]):+d}" for i in range(dataset.n)]
     _write_text(args.out, "\n".join(lines) + "\n")
     return 0
 
@@ -200,23 +196,23 @@ def _available_cpus() -> int:
 
 
 def _cv_plan(dataset: Dataset, config: TrainConfig, k: int,
-             stratified: bool) -> tuple[TrainConfig, FoldPlan]:
-    """The config every fold shares and the k-fold partition of ``dataset``."""
+             stratified: bool) -> tuple[TrainConfig, np.ndarray]:
+    """The config every fold shares and the fold number of each point of ``dataset``."""
     # Resolve the dictionary size against the full dataset so the echoed
     # config is self-describing and every fold trains the same model shape.
     config = replace(config, dict_size=config.resolved_dict_size(dataset.n, dataset.d))
-    plan = kfold_split(dataset.n, k, config.seed, stratified=stratified,
-                       labels=dataset.labels if stratified else None)
-    return config, plan
+    folds = kfold_split(dataset.n, k, config.seed, stratified=stratified,
+                        labels=dataset.labels if stratified else None)
+    return config, folds
 
 
-def _fold_tasks(config: TrainConfig, k: int) -> list[tuple[int, TrainConfig]]:
-    return [(fold, replace(config, seed=config.seed + fold)) for fold in range(k)]
-
-
-def _run_fold(dataset: Dataset, plan: FoldPlan, fold: int, config: TrainConfig) -> dict:
-    test_idx = plan.test_indices(fold)
-    train_idx = plan.train_indices(fold)
+def _run_fold(dataset: Dataset | None, folds: np.ndarray | None, fold: int,
+              config: TrainConfig) -> dict:
+    """The report row of fold ``fold``; a fold worker passes no dataset and folds."""
+    if dataset is None:
+        dataset, folds = _worker_folds
+    test_idx = np.flatnonzero(folds == fold)
+    train_idx = np.flatnonzero(folds != fold)
     test_features, test_labels = dataset.features[test_idx], dataset.labels[test_idx]
     started = time.perf_counter()
     row = {
@@ -257,52 +253,13 @@ def _run_fold(dataset: Dataset, plan: FoldPlan, fold: int, config: TrainConfig) 
     return row
 
 
-# The dataset and fold plan of the run, in a fold worker process.
-_worker_folds: tuple[Dataset, FoldPlan] | None = None
+# The dataset and fold numbers of the run, in a fold worker process.
+_worker_folds: tuple[Dataset, np.ndarray] | None = None
 
 
-def _init_fold_worker(dataset: Dataset, plan: FoldPlan) -> None:
+def _init_fold_worker(dataset: Dataset, folds: np.ndarray) -> None:
     global _worker_folds
-    _worker_folds = (dataset, plan)
-
-
-def _run_worker_fold(task: tuple[int, TrainConfig]) -> dict:
-    return _run_fold(*_worker_folds, *task)
-
-
-@contextmanager
-def _fold_results(dataset: Dataset, plan: FoldPlan, tasks: list, jobs: int | None):
-    """Runs ``(fold, config)`` tasks; yields one result getter per task, in order.
-
-    ``min(jobs, len(tasks))`` worker processes run the tasks; with one, the
-    getters train each fold in this process when called.  A getter re-raises
-    its fold's exception.  Workers receive ``dataset`` and ``plan`` once, at
-    start-up.  ``jobs=None`` means the CPUs this process may use, but no more
-    than one worker per two tasks: starting a worker (fork, pool set-up and
-    faulting in its own memory) costs about as much as training one small
-    fold, so each worker should have at least two to train.
-    """
-    if jobs is None:
-        jobs = max(1, min(_available_cpus(), len(tasks) // 2))
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    workers = min(jobs, len(tasks))
-    if workers <= 1:
-        yield [partial(_run_fold, dataset, plan, *task) for task in tasks]
-        return
-    # Imported here, so commands that start no workers never load multiprocessing.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    # fork: a worker inherits the imported numpy and the dataset instead of
-    # re-importing numpy (about 0.2 s), as spawn and forkserver workers do.
-    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context(method),
-                               initializer=_init_fold_worker, initargs=(dataset, plan))
-    try:
-        yield [pool.submit(_run_worker_fold, task).result for task in tasks]
-    finally:
-        pool.shutdown(cancel_futures=True)
+    _worker_folds = (dataset, folds)
 
 
 def _cv_report(config: TrainConfig, k: int, stratified: bool, rows: list[dict],
@@ -325,6 +282,57 @@ def _cv_report(config: TrainConfig, k: int, stratified: bool, rows: list[dict],
     }
 
 
+def _cross_validate_configs(dataset: Dataset, folds: np.ndarray, configs: list[TrainConfig],
+                            k: int, stratified: bool, jobs: int | None,
+                            include_timing: bool) -> list[dict | Exception]:
+    """The cv report of each config, or the exception of its lowest failing fold.
+
+    Trains every ``(fold, config)`` task, fold f with seed ``config.seed + f``,
+    on ``min(jobs, tasks)`` worker processes; with one, in this process.
+    Every task trains, also after a failure.  ``jobs=None`` means the CPUs
+    this process may use, but no more than one worker per two tasks:
+    starting a worker (fork, pool set-up and faulting in its own memory)
+    costs about as much as training one small fold, so each worker should
+    have at least two to train.  Workers receive ``dataset`` and ``folds``
+    once, at start-up.
+    """
+    tasks = [(fold, replace(config, seed=config.seed + fold))
+             for config in configs for fold in range(k)]
+    if jobs is None:
+        jobs = max(1, min(_available_cpus(), len(tasks) // 2))
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    workers = min(jobs, len(tasks))
+    outcomes = []
+    if workers <= 1:
+        for task in tasks:
+            try:
+                outcomes.append(_run_fold(dataset, folds, *task))
+            except Exception as exc:
+                outcomes.append(exc)
+    else:
+        # Imported here, so commands that start no workers never load multiprocessing.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # fork: a worker inherits the imported numpy and the dataset instead of
+        # re-importing numpy (about 0.2 s), as spawn and forkserver workers do.
+        method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context(method),
+                                   initializer=_init_fold_worker, initargs=(dataset, folds))
+        try:
+            futures = [pool.submit(_run_fold, None, None, *task) for task in tasks]
+            outcomes = [future.exception() or future.result() for future in futures]
+        finally:
+            pool.shutdown(cancel_futures=True)
+    reports = []
+    for i, config in enumerate(configs):
+        rows = outcomes[i * k:(i + 1) * k]
+        failure = next((row for row in rows if isinstance(row, Exception)), None)
+        reports.append(failure or _cv_report(config, k, stratified, rows, include_timing))
+    return reports
+
+
 def cross_validate(
     dataset: Dataset,
     config: TrainConfig,
@@ -341,14 +349,16 @@ def cross_validate(
     capped at ``k // 2`` so that each worker trains at least two folds, and
     ``jobs=1`` trains them one after another in this process.  The
     report does not depend on ``jobs``: rows come back in fold order, and a
-    failing fold raises the exception of the lowest failing fold, as the
-    in-process loop does.  ``include_timing=False`` nulls the wall-clock
-    fields so two identical runs produce identical bytes.
+    failing fold raises the exception of the lowest failing fold once every
+    fold has trained.  ``include_timing=False`` nulls the wall-clock fields
+    so two identical runs produce identical bytes.
     """
-    config, plan = _cv_plan(dataset, config, k, stratified)
-    with _fold_results(dataset, plan, _fold_tasks(config, k), jobs) as results:
-        rows = [result() for result in results]
-    return _cv_report(config, k, stratified, rows, include_timing)
+    config, folds = _cv_plan(dataset, config, k, stratified)
+    (report,) = _cross_validate_configs(dataset, folds, [config], k, stratified, jobs,
+                                        include_timing)
+    if isinstance(report, Exception):
+        raise report
+    return report
 
 
 def _cmd_cv(args: argparse.Namespace) -> int:
@@ -381,43 +391,32 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     dataset = _load_dataset(args.data, args.format)
     grid = list(product(_parse_grid(args.c1_grid), _parse_grid(args.c2_grid),
                         _parse_grid(args.c3_grid)))
-    # A cell is its resolved config, or the exception that rejected it.  The
-    # fold plan depends on the seed, k and the data only, so cells share it.
-    cells, plan = [], None
+    # The dictionary size and the folds depend on the seed, k and the data
+    # only, so every cell shares them.  A cell is its config, or the
+    # exception that rejected it.
+    config, folds = _cv_plan(dataset, config, args.k, args.stratified)
+    cells = []
     for c1, c2, c3 in grid:
         try:
-            cell_config, plan = _cv_plan(dataset, replace(config, c1=c1, c2=c2, c3=c3),
-                                         args.k, args.stratified)
-        except Exception as exc:
+            cells.append(replace(config, c1=c1, c2=c2, c3=c3))
+        except ValueError as exc:
             cells.append(exc)
-        else:
-            cells.append(cell_config)
-    tasks = [task for cell in cells if isinstance(cell, TrainConfig)
-             for task in _fold_tasks(cell, args.k)]
+    reports = iter(_cross_validate_configs(
+        dataset, folds, [cell for cell in cells if isinstance(cell, TrainConfig)], args.k,
+        args.stratified, args.jobs, include_timing=False))
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(SWEEP_HEADER)
-    with _fold_results(dataset, plan, tasks, args.jobs) as results:
-        results = iter(results)
-        for (c1, c2, c3), cell in zip(grid, cells):
-            if isinstance(cell, TrainConfig):
-                cell_results = [next(results) for _ in range(args.k)]
-                try:
-                    report = _cv_report(cell, args.k, args.stratified,
-                                        [result() for result in cell_results],
-                                        include_timing=False)
-                except Exception as exc:
-                    cell = exc
-            if isinstance(cell, Exception):
-                print(f"error: c1={c1!r} c2={c2!r} c3={c3!r}: "
-                      f"{type(cell).__name__}: {cell}", file=sys.stderr)
-                writer.writerow((repr(c1), repr(c2), repr(c3), "", "", "", "failed"))
-                continue
-            medians = []
-            for name in ("f1", "prbep", "auc"):
-                stats = report["summary"][name]
-                medians.append("" if stats is None else repr(stats["median"]))
-            writer.writerow((repr(c1), repr(c2), repr(c3), *medians, "ok"))
+    for (c1, c2, c3), cell in zip(grid, cells):
+        report = cell if isinstance(cell, Exception) else next(reports)
+        if isinstance(report, Exception):
+            print(f"error: c1={c1!r} c2={c2!r} c3={c3!r}: "
+                  f"{type(report).__name__}: {report}", file=sys.stderr)
+            writer.writerow((repr(c1), repr(c2), repr(c3), "", "", "", "failed"))
+            continue
+        medians = ["" if stats is None else repr(stats["median"])
+                   for stats in report["summary"].values()]
+        writer.writerow((repr(c1), repr(c2), repr(c3), *medians, "ok"))
     _write_text(args.out, buffer.getvalue())
     return 0
 

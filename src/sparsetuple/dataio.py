@@ -1,4 +1,4 @@
-"""Dataset parsing, serialization, and deterministic k-fold splitting.
+"""Dataset parsing, serialization, and deterministic k-fold splitting into fold numbers.
 
 Two text formats are understood: sparse svmlight-style lines
 (``<label> <index>:<value> ...`` with 1-based strictly increasing indices
@@ -30,7 +30,6 @@ from .measures import as_label_array
 __all__ = [
     "Dataset",
     "DatasetFormatError",
-    "FoldPlan",
     "parse_svmlight",
     "serialize_svmlight",
     "parse_csv",
@@ -54,7 +53,6 @@ class Dataset:
 
     features: np.ndarray
     labels: np.ndarray
-    ids: tuple[str, ...] | None = None
 
     def __post_init__(self):
         feats = np.asarray(self.features, dtype=np.float64)
@@ -67,8 +65,6 @@ class Dataset:
             raise ValueError(
                 f"length mismatch: {feats.shape[0]} feature rows vs {labels.size} labels"
             )
-        if self.ids is not None and len(self.ids) != feats.shape[0]:
-            raise ValueError("ids, when given, must have one entry per point")
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labels)
 
@@ -302,43 +298,22 @@ def parse_csv(data) -> Dataset:
     return Dataset(np.array(rows, dtype=np.float64), np.array(labels, dtype=np.int64))
 
 
-@dataclass(frozen=True)
-class FoldPlan:
-    """Assignment of each point index to one of k folds."""
-
-    k: int
-    assignments: np.ndarray
-
-    def __post_init__(self):
-        assignments = np.asarray(self.assignments, dtype=np.int64)
-        if assignments.ndim != 1:
-            raise ValueError("assignments must be 1-D")
-        if np.any(assignments < 0) or np.any(assignments >= self.k):
-            raise ValueError("fold assignments out of range")
-        object.__setattr__(self, "assignments", assignments)
-
-    def test_indices(self, fold: int) -> np.ndarray:
-        return np.flatnonzero(self.assignments == fold)
-
-    def train_indices(self, fold: int) -> np.ndarray:
-        return np.flatnonzero(self.assignments != fold)
-
-
-def kfold_split(n: int, k: int, seed: int, stratified: bool = False, labels=None) -> FoldPlan:
-    """Deterministic k-fold partition of n points.
+def kfold_split(n: int, k: int, seed: int, stratified: bool = False, labels=None) -> np.ndarray:
+    """Deterministic k-fold partition of n points: the fold number of each point.
 
     Plain mode deals a seeded shuffle round-robin, so fold sizes differ by
     at most one.  Stratified mode deals each class in turn with a continuing
     fold cursor, balancing both total fold sizes and per-class counts to
     within one.  Identical (n, k, seed, stratified, labels) always produce
-    an identical plan.
+    an identical partition.  Fold f tests the points
+    ``np.flatnonzero(folds == f)`` and trains on the rest.
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     if k > n:
         raise ValueError(f"k={k} exceeds the number of points n={n}")
     rng = np.random.default_rng(seed)
-    assignments = np.empty(n, dtype=np.int64)
+    folds = np.empty(n, dtype=np.int64)
     if stratified:
         if labels is None:
             raise ValueError("stratified splitting requires labels")
@@ -350,10 +325,10 @@ def kfold_split(n: int, k: int, seed: int, stratified: bool = False, labels=None
             members = np.flatnonzero(y == cls)
             perm = rng.permutation(members)
             for offset, index in enumerate(perm):
-                assignments[index] = (cursor + offset) % k
+                folds[index] = (cursor + offset) % k
             cursor += members.size
     else:
         perm = rng.permutation(n)
         for position, index in enumerate(perm):
-            assignments[index] = position % k
-    return FoldPlan(k, assignments)
+            folds[index] = position % k
+    return folds

@@ -119,17 +119,15 @@ class TraceEntry:
 class Model:
     """Trained dictionary plus predictor weights and the training trace.
 
-    ``training_codes`` is the final code matrix of the training run and
     ``ascent_converged`` holds, per iteration, whether the multiplier ascent
-    met its KKT tolerance on the norm caps; both are kept in memory for
-    inspection but are not part of the serialized schema.
+    met its KKT tolerance on the norm caps; it is kept in memory for
+    inspection but is not part of the serialized schema.
     """
 
     dictionary: Dictionary
     weights: np.ndarray
     config: TrainConfig
     trace: tuple[TraceEntry, ...]
-    training_codes: np.ndarray | None = field(default=None, repr=False)
     ascent_converged: tuple[bool, ...] | None = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -230,11 +228,13 @@ def fit(data: Dataset, config: TrainConfig, observer=None) -> Model:
     and on the weights, then one multiplier ascent with its default Newton
     budget.  ``observer``, when given, is called as ``observer(stage,
     iteration)`` with stage ``dictionary`` once the iteration's dictionary is
-    in place, then ``codes``, ``weights`` and ``multipliers`` after each
-    update.  Fixed seeds make the run bitwise reproducible.  Single-class
-    labels raise :class:`DegenerateClassError` for PRBEP and AUC from the
-    first argmax, before any update.
+    in place, then ``codes`` after the code step, ``weights`` after the
+    weight step and the argmax that scores the iterate, and ``multipliers``
+    after the ascent.  Fixed seeds make the run bitwise reproducible.
+    Single-class labels raise :class:`DegenerateClassError` for PRBEP and
+    AUC from the first argmax, before any update.
     """
+    observe = observer or (lambda stage, iteration: None)
     y = data.labels
     m = config.resolved_dict_size(data.n, data.d)
     config = replace(config, dict_size=m)
@@ -249,8 +249,7 @@ def fit(data: Dataset, config: TrainConfig, observer=None) -> Model:
     converged: list[bool] = []
     result = hyperloss.argmax_F_oracle(weights, codes, y, config.measure)
     for iteration in range(config.iters):
-        if observer is not None:
-            observer("dictionary", iteration)
+        observe("dictionary", iteration)
 
         # Tie set from the previous iterate's codes and weights (found when
         # that iterate was scored), frozen for the rest of this iteration.
@@ -263,15 +262,13 @@ def fit(data: Dataset, config: TrainConfig, observer=None) -> Model:
         grads *= config.eta
         codes -= grads
         del reweights, grads  # free before the next iteration allocates its own
+        observe("codes", iteration)
+
         weights = weights - config.eta * hyperloss.loss_gradient_w(
             weights, codes, coefficients, config.c2
         )
         entry, result = _objective_entry(X, elements, codes, weights, y, config)
-        if observer is not None:
-            observer("codes", iteration)
-
-        if observer is not None:
-            observer("weights", iteration)
+        observe("weights", iteration)
         _ensure_finite(iteration, codes, weights)
 
         try:
@@ -282,15 +279,13 @@ def fit(data: Dataset, config: TrainConfig, observer=None) -> Model:
             if _codes_blown(codes, X):
                 raise NumericalDivergenceError(iteration) from None
             raise
-        if observer is not None:
-            observer("multipliers", iteration)
+        observe("multipliers", iteration)
         _ensure_finite(iteration, alphas, elements)
 
         trace.append(entry)
         converged.append(ascent_ok)
     final_dictionary = Dictionary(elements, config.norm_cap, alphas)
-    return Model(final_dictionary, weights, config, tuple(trace), training_codes=codes,
-                 ascent_converged=tuple(converged))
+    return Model(final_dictionary, weights, config, tuple(trace), tuple(converged))
 
 
 def encode(dictionary: Dictionary, features, config: TrainConfig) -> np.ndarray:

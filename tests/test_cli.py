@@ -434,7 +434,7 @@ class TestCv:
         report = json.loads(out.read_text())
         plan = kfold_split(ds.n, 5, seed=11)
         for fold, row in enumerate(report["folds"]):
-            assert row["test_indices"] == plan.test_indices(fold).tolist()
+            assert row["test_indices"] == np.flatnonzero(plan == fold).tolist()
 
     def test_same_seed_byte_identical_with_omit_timing(self, data_file, tmp_path):
         data_path, _ = data_file
@@ -568,6 +568,30 @@ class TestSweep:
             "ok", "failed", "ok"]
         assert err == ("error: c1=0.1 c2=0.01 c3=10000.0: NumericalDivergenceError: "
                        "numerical overflow at iteration 18\n")
+
+    @pytest.mark.parametrize("k, message", [
+        ("1", "k must be >= 2, got 1"), ("61", "k=61 exceeds the number of points n=60")])
+    def test_bad_k_exits_2_as_cv_does(self, data_file, tmp_path, capsys, k, message):
+        data_path, _ = data_file
+        flags = ["--data", str(data_path), "--k", k, "--iters", "2", "--dict-size", "3"]
+        errors = []
+        for command in (["cv"], ["sweep", "--c1-grid", "0.1", "--c2-grid", "0.01",
+                                 "--c3-grid", "1.0"]):
+            out = tmp_path / f"{command[0]}.out"
+            assert main(command + flags + ["--out", str(out)]) == 2
+            assert not out.exists()
+            errors.append(capsys.readouterr().err)
+        assert errors == [f"error: {message}\n"] * 2
+
+    def test_every_cell_rejected_writes_failed_rows(self, data_file, tmp_path, capsys):
+        data_path, _ = data_file
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--data", str(data_path), "--out", str(out),
+                     "--c1-grid=-1,-2", "--c2-grid", "0.01", "--c3-grid", "1.0",
+                     "--k", "3", "--iters", "2", "--dict-size", "3"]) == 0
+        assert out.read_text().strip().split("\n") == [
+            ",".join(SWEEP_HEADER), "-1.0,0.01,1.0,,,,failed", "-2.0,0.01,1.0,,,,failed"]
+        assert capsys.readouterr().err.count("must be nonnegative") == 2
 
     def test_empty_grid_rejected(self, data_file, tmp_path):
         data_path, _ = data_file

@@ -357,19 +357,19 @@ class TestDataset:
 class TestKfoldSplit:
     def test_forced_singleton_folds(self):
         plan = kfold_split(10, 10, seed=0)
-        sizes = np.bincount(plan.assignments, minlength=10)
+        sizes = np.bincount(plan, minlength=10)
         assert np.all(sizes == 1)
 
     def test_forced_sizes_10_3(self):
         plan = kfold_split(10, 3, seed=1)
-        sizes = sorted(np.bincount(plan.assignments, minlength=3), reverse=True)
+        sizes = sorted(np.bincount(plan, minlength=3), reverse=True)
         assert sizes == [4, 3, 3]
 
     def test_stratified_balanced(self):
         labels = np.array([1] * 10 + [-1] * 10)
         plan = kfold_split(20, 10, seed=2, stratified=True, labels=labels)
         for fold in range(10):
-            members = plan.test_indices(fold)
+            members = np.flatnonzero(plan == fold)
             assert members.size == 2
             assert np.sum(labels[members] == 1) == 1
             assert np.sum(labels[members] == -1) == 1
@@ -378,20 +378,20 @@ class TestKfoldSplit:
         rng = np.random.default_rng(9)
         labels = rng.choice([-1, 1], size=23)
         plan = kfold_split(23, 4, seed=3, stratified=True, labels=labels)
-        sizes = np.bincount(plan.assignments, minlength=4)
+        sizes = np.bincount(plan, minlength=4)
         assert sizes.max() - sizes.min() <= 1
 
     def test_partition_property(self):
         plan = kfold_split(37, 5, seed=4)
-        seen = np.concatenate([plan.test_indices(f) for f in range(5)])
+        seen = np.concatenate([np.flatnonzero(plan == f) for f in range(5)])
         assert sorted(seen.tolist()) == list(range(37))
 
     def test_deterministic(self):
         a = kfold_split(50, 7, seed=5)
         b = kfold_split(50, 7, seed=5)
-        np.testing.assert_array_equal(a.assignments, b.assignments)
+        np.testing.assert_array_equal(a, b)
         c = kfold_split(50, 7, seed=6)
-        assert not np.array_equal(a.assignments, c.assignments)
+        assert not np.array_equal(a, c)
 
     def test_errors(self):
         with pytest.raises(ValueError, match="exceeds"):

@@ -32,6 +32,25 @@ def small_dataset(seed=0, n=40, d=5):
     return make_gaussian_dataset(seed=seed, n=n, d=d)
 
 
+def fit_with_codes(data, config):
+    """``fit``'s model and the code matrix its run ends with.
+
+    Nothing changes the codes after the last multiplier ascent, so a copy of
+    the ``S`` that ascent receives is the final code matrix.
+    """
+    ascent = trainer.sparse_coding.dual_ascent_alphas
+    last = []
+
+    def recording(X, S, *args):
+        last[:] = [S.copy()]
+        return ascent(X, S, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(trainer.sparse_coding, "dual_ascent_alphas", recording)
+        model = fit(data, config)
+    return model, last[0]
+
+
 class TestTrainConfig:
     def test_defaults_valid(self):
         cfg = TrainConfig()
@@ -129,12 +148,12 @@ class TestFit:
     def test_bitwise_deterministic(self):
         ds = small_dataset()
         cfg = TrainConfig(iters=12, dict_size=5, seed=9)
-        a = fit(ds, cfg)
-        b = fit(ds, cfg)
+        a, codes_a = fit_with_codes(ds, cfg)
+        b, codes_b = fit_with_codes(ds, cfg)
         np.testing.assert_array_equal(a.weights, b.weights)
         np.testing.assert_array_equal(a.dictionary.elements, b.dictionary.elements)
         np.testing.assert_array_equal(a.dictionary.multipliers, b.dictionary.multipliers)
-        np.testing.assert_array_equal(a.training_codes, b.training_codes)
+        np.testing.assert_array_equal(codes_a, codes_b)
         assert a.trace == b.trace
 
     def test_update_order_follows_algorithm(self):
@@ -149,14 +168,31 @@ class TestFit:
             expected += [("dictionary", t), ("codes", t), ("weights", t), ("multipliers", t)]
         assert events == expected
 
+    def test_each_stage_fires_where_its_work_ends(self, monkeypatch):
+        # codes: after the code step, before the weight step's scoring oracle;
+        # weights: after that oracle
+        events = []
+        for module, name in ((trainer.sparse_coding, "code_gradient_batch"),
+                             (hyperloss, "argmax_F_oracle")):
+            def recording(*args, _work=getattr(module, name), _name=name):
+                events.append(_name)
+                return _work(*args)
+
+            monkeypatch.setattr(module, name, recording)
+        fit(small_dataset(), TrainConfig(iters=2, dict_size=4, seed=2),
+            observer=lambda stage, t: events.append(stage))
+        iteration = ["dictionary", "code_gradient_batch", "codes", "argmax_F_oracle", "weights",
+                     "multipliers"]
+        assert events == ["argmax_F_oracle"] + 2 * iteration
+
     def test_c3_zero_decouples_labels_and_shrinks_weights(self):
         ds = small_dataset()
         cfg = TrainConfig(iters=20, dict_size=5, seed=4, c3=0.0)
-        model = fit(ds, cfg)
+        model, codes = fit_with_codes(ds, cfg)
         flipped = Dataset(ds.features, -ds.labels)
-        model_flipped = fit(flipped, cfg)
+        model_flipped, codes_flipped = fit_with_codes(flipped, cfg)
         # codes and dictionary never see the labels when the loss weight is 0
-        np.testing.assert_array_equal(model.training_codes, model_flipped.training_codes)
+        np.testing.assert_array_equal(codes, codes_flipped)
         np.testing.assert_array_equal(
             model.dictionary.elements, model_flipped.dictionary.elements
         )
@@ -169,10 +205,8 @@ class TestFit:
         ds = small_dataset(n=30, d=4)
         for iters in (1, 2, 4, 6):
             cfg = TrainConfig(iters=iters, dict_size=4, seed=6)
-            model = fit(ds, cfg)
-            loss = tuple_loss(
-                MeasureKind.F1, ds.labels, predict(model.weights, model.training_codes)
-            )
+            model, codes = fit_with_codes(ds, cfg)
+            loss = tuple_loss(MeasureKind.F1, ds.labels, predict(model.weights, codes))
             assert model.trace[-1].surrogate >= loss
 
     def test_objective_composition(self):
@@ -265,13 +299,11 @@ class TestFit:
     )
     def test_saved_dictionary_is_the_one_its_multipliers_define(self, data, config):
         # The imbalanced case missed the cap in 6 of 6 fixed-rate ascents.
-        model = fit(data, config)
+        model, codes = fit_with_codes(data, config)
         assert all(model.ascent_converged)
         elements = model.dictionary.elements
         assert np.sum(elements * elements, axis=0).max() <= config.norm_cap + 1e-6
-        expected = solve_dictionary(
-            data.features.T, model.training_codes, model.dictionary.multipliers
-        )
+        expected = solve_dictionary(data.features.T, codes, model.dictionary.multipliers)
         np.testing.assert_allclose(elements, expected, rtol=0, atol=1e-10)
 
     def test_rank_limited_least_squares_optimum(self):
