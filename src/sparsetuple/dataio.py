@@ -323,12 +323,8 @@ def kfold_split(n: int, k: int, seed: int, stratified: bool = False, labels=None
         cursor = 0
         for cls in (1, -1):
             members = np.flatnonzero(y == cls)
-            perm = rng.permutation(members)
-            for offset, index in enumerate(perm):
-                folds[index] = (cursor + offset) % k
+            folds[rng.permutation(members)] = (cursor + np.arange(members.size)) % k
             cursor += members.size
     else:
-        perm = rng.permutation(n)
-        for position, index in enumerate(perm):
-            folds[index] = position % k
+        folds[rng.permutation(n)] = np.arange(n) % k
     return folds

@@ -59,31 +59,35 @@ class Dictionary:
         return self.elements.shape[1]
 
 
-def smoothing_weights(s_prev: np.ndarray, eps: float) -> np.ndarray:
-    """Reweighting diagonal ``u_j = 1 / max(|s_prev_j|, eps)``."""
+def smoothing_weights(s_prev: np.ndarray, eps: float, out=None) -> np.ndarray:
+    """Reweighting diagonal ``u_j = 1 / max(|s_prev_j|, eps)``, written into ``out`` if given."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    weights = np.abs(np.asarray(s_prev, dtype=np.float64))
+    weights = np.abs(np.asarray(s_prev, dtype=np.float64), out=out)
     return np.divide(1.0, np.maximum(weights, eps, out=weights), out=weights)
 
 
-def code_gradient_batch(elements, X, S, weights, c1, loss_terms) -> np.ndarray:
+def code_gradient_batch(elements, X, S, weights, c1, loss_terms, loss_scale=1.0,
+                        out=None, scratch=None, residual=None) -> np.ndarray:
     """Gradient of the smoothed coding objective at every code column.
 
     Column i is the gradient at ``s_i`` of
     ``||x_i - D s_i||^2 + c1 * s_i' diag(u_i) s_i + l_i' s_i`` with the
     reweighting ``u_i`` (column i of ``weights``) and the loss term ``l_i``
-    held fixed.  ``X`` is d-by-n, ``S`` and ``weights`` and ``loss_terms``
-    are m-by-n.  Note the reconstruction part contributes
-    ``-2 D' (x - D s)``; a plus sign there would ascend the reconstruction
-    error.  Besides the result it allocates a d-by-n, then an m-by-n scratch array.
+    held fixed.  ``X`` is d-by-n, ``S`` and ``weights`` are m-by-n, and the
+    loss terms ``loss_scale * loss_terms`` broadcast to m-by-n (``fit``
+    passes ``w[:, None]`` and ``c`` for the rank-one ``w c'``).  Note the
+    reconstruction part contributes ``-2 D' (x - D s)``; a plus sign there
+    would ascend the reconstruction error.  The result, the d-by-n residual
+    and one scratch array (the reweighting product, then the loss terms) go
+    into ``out``, ``residual`` and ``scratch``, each allocated if not given;
+    ``scratch`` may be ``weights``, which is read before it is written.
     """
-    residual = elements @ S
-    grads = (-2.0 * elements.T) @ np.subtract(X, residual, out=residual)
-    del residual
-    scratch = np.multiply(2.0 * c1, weights)
+    residual = np.matmul(elements, S, out=residual)
+    grads = np.matmul(-2.0 * elements.T, np.subtract(X, residual, out=residual), out=out)
+    scratch = np.multiply(2.0 * c1, weights, out=scratch)
     grads += np.multiply(scratch, S, out=scratch)
-    return np.add(grads, loss_terms, out=grads)
+    return np.add(grads, np.multiply(loss_scale, loss_terms, out=scratch), out=grads)
 
 
 _MAX_HALVINGS = 30  # of a Newton step, before the ascent gives up on it

@@ -189,8 +189,9 @@ _OVERFLOW_LIMIT = 1e140
 
 
 def _ensure_finite(iteration: int, *arrays) -> None:
-    # NaN fails ``<=`` as well, so one pass over each array catches NaN, +-inf and overflow.
-    if any(arr.size and not np.abs(arr).max() <= _OVERFLOW_LIMIT for arr in arrays):
+    # NaN fails ``<=`` as well, so min and max catch NaN, +-inf and overflow without a temporary.
+    if any(arr.size and not (-_OVERFLOW_LIMIT <= arr.min() and arr.max() <= _OVERFLOW_LIMIT)
+           for arr in arrays):
         raise NumericalDivergenceError(iteration)
 
 
@@ -204,11 +205,12 @@ def _codes_blown(codes: np.ndarray, X: np.ndarray) -> bool:
 _REWEIGHT_FLOOR = 1e-8
 
 
-def _objective_entry(X, elements, codes, weights, labels, config: TrainConfig):
-    """Objective components at these variables, and the argmax behind the bound."""
-    residual = X - elements @ codes
-    reconstruction = float(np.sum(residual * residual))
-    sparsity = float(np.abs(codes).sum())
+def _objective_entry(X, elements, codes, weights, labels, config: TrainConfig,
+                     residual=None, scratch=None):
+    """Objective components and the bound's argmax; the residual and |codes| use the buffers given."""
+    residual = np.subtract(X, np.matmul(elements, codes, out=residual), out=residual)
+    reconstruction = float(np.sum(np.multiply(residual, residual, out=residual)))
+    sparsity = float(np.abs(codes, out=scratch).sum())
     complexity = 0.5 * float(weights @ weights)
     result = hyperloss.argmax_F_oracle(weights, codes, labels, config.measure)
     surrogate = result.max_value
@@ -233,6 +235,11 @@ def fit(data: Dataset, config: TrainConfig, observer=None) -> Model:
     after the ascent.  Fixed seeds make the run bitwise reproducible.
     Single-class labels raise :class:`DegenerateClassError` for PRBEP and
     AUC from the first argmax, before any update.
+
+    Every m-by-n and d-by-n temporary lives in one workspace allocated per
+    run: the reweighting (reused for the loss terms and ``|codes|``), the
+    gradient and the d-by-n residual.  The peak holds the codes, this
+    workspace and n-length vectors.
     """
     observe = observer or (lambda stage, iteration: None)
     y = data.labels
@@ -248,6 +255,7 @@ def fit(data: Dataset, config: TrainConfig, observer=None) -> Model:
     trace: list[TraceEntry] = []
     converged: list[bool] = []
     result = hyperloss.argmax_F_oracle(weights, codes, y, config.measure)
+    work, grads, residual = np.empty(codes.shape), np.empty(codes.shape), np.empty(X.shape)
     for iteration in range(config.iters):
         observe("dictionary", iteration)
 
@@ -255,19 +263,18 @@ def fit(data: Dataset, config: TrainConfig, observer=None) -> Model:
         # that iterate was scored), frozen for the rest of this iteration.
         coefficients = hyperloss.flip_coefficients(y, result.maximizers, config.c3)
 
-        reweights = sparse_coding.smoothing_weights(codes, _REWEIGHT_FLOOR)
-        grads = sparse_coding.code_gradient_batch(
-            elements, X, codes, reweights, config.c1, np.outer(weights, coefficients)
-        )
+        sparse_coding.smoothing_weights(codes, _REWEIGHT_FLOOR, work)
+        # Loss terms np.outer(weights, coefficients), built in work once its reweighting is used.
+        sparse_coding.code_gradient_batch(elements, X, codes, work, config.c1, coefficients,
+                                          weights[:, None], grads, work, residual)
         grads *= config.eta
         codes -= grads
-        del reweights, grads  # free before the next iteration allocates its own
         observe("codes", iteration)
 
         weights = weights - config.eta * hyperloss.loss_gradient_w(
             weights, codes, coefficients, config.c2
         )
-        entry, result = _objective_entry(X, elements, codes, weights, y, config)
+        entry, result = _objective_entry(X, elements, codes, weights, y, config, residual, work)
         observe("weights", iteration)
         _ensure_finite(iteration, codes, weights)
 

@@ -393,6 +393,30 @@ class TestKfoldSplit:
         c = kfold_split(50, 7, seed=6)
         assert not np.array_equal(a, c)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 60), st.integers(2, 9), st.integers(0, 2**32 - 1), st.booleans(),
+           st.integers(0, 2**32 - 1))
+    def test_matches_per_point_dealing(self, n, k, seed, stratified, label_seed):
+        # The per-point loop the whole-array assignment replaced, pinned on
+        # random permutations: same folds for every point.
+        k = min(k, n)
+        labels = np.random.default_rng(label_seed).choice([-1, 1], size=n)
+        rng = np.random.default_rng(seed)
+        expected = np.empty(n, dtype=np.int64)
+        if stratified:
+            cursor = 0
+            for cls in (1, -1):
+                members = np.flatnonzero(labels == cls)
+                for offset, index in enumerate(rng.permutation(members)):
+                    expected[index] = (cursor + offset) % k
+                cursor += members.size
+        else:
+            for position, index in enumerate(rng.permutation(n)):
+                expected[index] = position % k
+        folds = kfold_split(n, k, seed, stratified=stratified, labels=labels)
+        assert folds.dtype == np.int64
+        np.testing.assert_array_equal(folds, expected)
+
     def test_errors(self):
         with pytest.raises(ValueError, match="exceeds"):
             kfold_split(3, 4, seed=0)

@@ -122,6 +122,42 @@ class TestCodeGradient:
             single = one_point_gradient(D, X[:, i], S[:, i], U[:, i], 0.3, L[:, i])
             np.testing.assert_allclose(batch[:, i], single, rtol=1e-12, atol=1e-12)
 
+    def test_caller_buffers_match_the_allocating_call(self):
+        # Bitwise equal results written into the given buffers; the inputs
+        # other than the reweighting, which may double as scratch, come back unchanged.
+        rng = np.random.default_rng(31)
+        d, m, n = 5, 7, 11
+        D, X = rng.normal(size=(d, m)), rng.normal(size=(d, n))
+        S, L = rng.normal(size=(m, n)), rng.normal(size=(m, n))
+        S[0, :3] = [0.0, -0.0, 1e-12]  # under the reweighting floor
+        inputs = [D.copy(), X.copy(), S.copy(), L.copy()]
+
+        U = smoothing_weights(S, 1e-8)
+        u_out = np.full((m, n), np.nan)
+        assert smoothing_weights(S, 1e-8, u_out) is u_out
+        assert u_out.tobytes() == U.tobytes()
+
+        expected = code_gradient_batch(D, X, S, U, 0.3, L)
+        out, scratch, residual = np.full((m, n), np.nan), np.empty((m, n)), np.empty((d, n))
+        got = code_gradient_batch(D, X, S, U.copy(), 0.3, L, 1.0, out, scratch, residual)
+        assert got is out
+        assert out.tobytes() == expected.tobytes()
+        # the reweighting's own buffer as the scratch array, as fit passes it
+        got = code_gradient_batch(D, X, S, u_out, 0.3, L, 1.0, out, u_out, residual)
+        assert got is out and out.tobytes() == expected.tobytes()
+        for before, after in zip(inputs, (D, X, S, L)):
+            assert before.tobytes() == after.tobytes()
+
+    def test_rank_one_loss_factors_match_the_outer_product(self):
+        rng = np.random.default_rng(37)
+        d, m, n = 4, 6, 9
+        D, X, S = rng.normal(size=(d, m)), rng.normal(size=(d, n)), rng.normal(size=(m, n))
+        w, c = rng.normal(size=m), rng.normal(size=n)
+        U = smoothing_weights(S, 1e-8)
+        expected = code_gradient_batch(D, X, S, U, 0.2, np.outer(w, c))
+        got = code_gradient_batch(D, X, S, U, 0.2, c, w[:, None])
+        assert got.tobytes() == expected.tobytes()
+
 
 class TestCodeStep:
     """Codes of the coding subproblem: the ridge codes :func:`encode` returns

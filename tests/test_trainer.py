@@ -237,12 +237,18 @@ class TestFit:
                 fit(ds, cfg)
         assert info.value.iteration >= 0
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1.1e140, -1.1e140])
+    @pytest.mark.parametrize(
+        "bad", [np.nan, np.inf, -np.inf, 1.1e140, -1.1e140, 1.0000001e140, -1.0000001e140]
+    )
     def test_non_finite_or_overflowing_arrays_diverge(self, bad):
-        arr = np.zeros((3, 4))
-        arr[1, 2] = bad
-        with pytest.raises(NumericalDivergenceError, match="at iteration 5$"):
+        # anywhere in the matrix, among entries at the limit that pass
+        for index in np.ndindex(3, 4):
+            arr = np.zeros((3, 4))
+            arr[0], arr[2] = 1e140, -1e140
             trainer._ensure_finite(5, np.ones(2), arr)
+            arr[index] = bad
+            with pytest.raises(NumericalDivergenceError, match="at iteration 5$"):
+                trainer._ensure_finite(5, np.ones(2), arr)
 
     def test_non_finite_initial_dictionary_diverges_at_iteration_0(self, monkeypatch):
         # the first dictionary is checked once, before any iteration runs;
@@ -273,6 +279,19 @@ class TestFit:
         finally:
             tracemalloc.stop()
         assert peak <= 6 * 40 * 6000 * 8
+
+    def test_peak_memory_is_at_most_four_code_matrices(self):
+        # The codes, the workspace's two arrays of their shape and its d-by-n
+        # residual (half a code matrix here): no temporary of that size is
+        # allocated inside an iteration.
+        ds = make_gaussian_dataset(n=6000, d=20)
+        tracemalloc.start()
+        try:
+            fit(ds, TrainConfig(iters=3, dict_size=40))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 40 * 6000 * 8
 
     def test_oracle_runs_once_per_iteration(self, monkeypatch):
         # the argmax that scores iteration t's end is the one t + 1 starts from
