@@ -24,17 +24,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import Dataset, DatasetFormatError, _decode, kfold_split, parse_csv, parse_svmlight
+from .dataio import (_LABEL_TOKENS, Dataset, DatasetFormatError, _decode, kfold_split,
+                     parse_csv, parse_svmlight)
 from .measures import (
     DegenerateClassError,
     MeasureKind,
-    UndefinedTupleLossError,
     auc_from_scores,
     prbep_from_scores,
     tuple_loss,
 )
 from .hyperloss import point_scores, predict
 from .trainer import (
+    Model,
     ModelFormatError,
     NumericalDivergenceError,
     TraceEntry,
@@ -48,9 +49,15 @@ from .trainer import (
 
 __all__ = ["main", "build_parser", "cross_validate"]
 
-JOBS_HELP = ("worker processes that train folds (default: the CPUs this process may use, "
-             "at most one per two folds; 1 trains them in this process)")
-SWEEP_HEADER = ("c1", "c2", "c3", "f1_median", "prbep_median", "auc_median", "status")
+# Each reported measure as a function of (truth, predicted labels, scores).  The
+# lambdas look the measure functions up in this module when called, so a
+# function patched here (as the benchmark's tracer does) serves every caller.
+MEASURES = {
+    "f1": lambda truth, labels, scores: 1.0 - tuple_loss(MeasureKind.F1, truth, labels),
+    "prbep": lambda truth, labels, scores: prbep_from_scores(truth, scores),
+    "auc": lambda truth, labels, scores: auc_from_scores(truth, scores),
+}
+SWEEP_HEADER = ("c1", "c2", "c3", *(f"{name}_median" for name in MEASURES), "status")
 
 
 def _load_dataset(path: str, fmt: str = "auto") -> Dataset:
@@ -109,12 +116,16 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
+def _score(model: Model, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The score and the +1/-1 label that ``model`` gives each row of ``features``."""
+    codes = encode(model.dictionary, features, model.config)
+    return point_scores(model.weights, codes), predict(model.weights, codes)
+
+
 def _cmd_predict(args: argparse.Namespace) -> int:
     model = load_model(Path(args.model).read_bytes())
     dataset = _load_dataset(args.data, args.format)
-    codes = encode(model.dictionary, dataset.features, model.config)
-    scores = point_scores(model.weights, codes)
-    labels = predict(model.weights, codes)
+    scores, labels = _score(model, dataset.features)
     lines = [f"{i}\t{float(scores[i])!r}\t{int(labels[i]):+d}" for i in range(dataset.n)]
     _write_text(args.out, "\n".join(lines) + "\n")
     return 0
@@ -128,14 +139,15 @@ def _raise_prediction_fault(lines: list[str]) -> None:
         parts = line.split("\t")
         if len(parts) != 3:
             raise DatasetFormatError("prediction line must be id<TAB>score<TAB>label", line_no)
+        label = parts[2].strip()
         try:
             score = float(parts[1])
-            label = int(parts[2])
+            int(label)  # a label that is no integer makes the line malformed
         except ValueError:
             raise DatasetFormatError("malformed prediction line", line_no) from None
         if not np.isfinite(score):
             raise DatasetFormatError(f"non-finite score {parts[1]!r}", line_no)
-        if label not in (-1, 1):
+        if label not in _LABEL_TOKENS:  # the data files' label rule
             raise DatasetFormatError(f"label {label} not in {{+1, -1}}", line_no)
     raise DatasetFormatError("empty predictions file")
 
@@ -146,10 +158,10 @@ def _read_predictions(path: str) -> tuple[np.ndarray, np.ndarray]:
     try:  # the whole file at once; the per-line rules name the first fault
         _, scores, labels = zip(*(line.split("\t") for line in lines if line), strict=True)
         scores = np.fromiter(map(float, scores), np.float64, len(scores))
-        labels = np.fromiter(map(int, labels), np.int64, len(labels))
-        if np.all(np.isfinite(scores)) and np.all(np.abs(labels) == 1):
+        labels = np.array([_LABEL_TOKENS.get(label.strip(), 0) for label in labels], np.int64)
+        if np.all(np.isfinite(scores)) and np.all(labels != 0):
             return scores, labels
-    except (ValueError, OverflowError):
+    except ValueError:
         pass
     _raise_prediction_fault(lines)
 
@@ -161,16 +173,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         raise ValueError(
             f"misaligned files: {labels.size} predictions vs {truth.n} truth points"
         )
-    wanted = args.measure
-    results = []
-    if wanted in (None, "f1"):
-        results.append(("f1", 1.0 - tuple_loss(MeasureKind.F1, truth.labels, labels)))
-    if wanted in (None, "prbep"):
-        results.append(("prbep", prbep_from_scores(truth.labels, scores)))
-    if wanted in (None, "auc"):
-        results.append(("auc", auc_from_scores(truth.labels, scores)))
-    for name, value in results:
-        sys.stdout.write(f"{name} {value!r}\n")
+    names = MEASURES if args.measure is None else (args.measure,)
+    sys.stdout.write("".join(f"{name} {MEASURES[name](truth.labels, labels, scores)!r}\n"
+                             for name in names))
     return 0
 
 
@@ -220,9 +225,7 @@ def _run_fold(dataset: Dataset | None, folds: np.ndarray | None, fold: int,
         "seed": config.seed,
         "test_indices": [int(i) for i in test_idx],
         "n_test": int(test_labels.size),
-        "f1": None,
-        "prbep": None,
-        "auc": None,
+        **dict.fromkeys(MEASURES),
         "seconds": None,
         "status": "ok",
         "note": None,
@@ -234,19 +237,13 @@ def _run_fold(dataset: Dataset | None, folds: np.ndarray | None, fold: int,
         row["note"] = f"training skipped: {exc}"
         row["seconds"] = time.perf_counter() - started
         return row
-    codes = encode(model.dictionary, test_features, config)
-    scores = point_scores(model.weights, codes)
-    predicted = predict(model.weights, codes)
-    row["f1"] = float(1.0 - tuple_loss(MeasureKind.F1, test_labels, predicted))
+    scores, predicted = _score(model, test_features)
     skipped = []
-    try:
-        row["prbep"] = float(prbep_from_scores(test_labels, scores))
-    except DegenerateClassError:
-        skipped.append("prbep")
-    try:
-        row["auc"] = float(auc_from_scores(test_labels, scores))
-    except DegenerateClassError:
-        skipped.append("auc")
+    for name, measure in MEASURES.items():
+        try:
+            row[name] = float(measure(test_labels, predicted, scores))
+        except DegenerateClassError:
+            skipped.append(name)
     if skipped:
         row["note"] = f"skipped {', '.join(skipped)}: degenerate class in test fold"
     row["seconds"] = time.perf_counter() - started
@@ -269,7 +266,7 @@ def _cv_report(config: TrainConfig, k: int, stratified: bool, rows: list[dict],
             row["seconds"] = None
     summary = {
         name: _five_number([row[name] for row in rows if row[name] is not None])
-        for name in ("f1", "prbep", "auc")
+        for name in MEASURES
     }
     return {
         "k": k,
@@ -412,7 +409,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if isinstance(report, Exception):
             print(f"error: c1={c1!r} c2={c2!r} c3={c3!r}: "
                   f"{type(report).__name__}: {report}", file=sys.stderr)
-            writer.writerow((repr(c1), repr(c2), repr(c3), "", "", "", "failed"))
+            writer.writerow((repr(c1), repr(c2), repr(c3), *("" for _ in MEASURES), "failed"))
             continue
         medians = ["" if stats is None else repr(stats["median"])
                    for stats in report["summary"].values()]
@@ -427,75 +424,67 @@ def build_parser() -> argparse.ArgumentParser:
         description="Train and evaluate tuple-level predictors over sparse codes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Flags that several subcommands share, each defined once in a parent parser.
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", default="auto", choices=("auto", "svmlight", "csv"))
+    data = argparse.ArgumentParser(add_help=False)
+    data.add_argument("--data", required=True)
+    config = argparse.ArgumentParser(add_help=False)
+    _add_config_flags(config)
+    folds = argparse.ArgumentParser(add_help=False)
+    folds.add_argument("--k", type=int, default=10)
+    folds.add_argument("--stratified", action="store_true")
+    folds.add_argument("--jobs", type=int, default=None,
+                       help="worker processes that train folds (default: the CPUs this process "
+                            "may use, at most one per two folds; 1 trains them in this process)")
 
-    train = sub.add_parser("train", help="fit a model and write it to disk")
-    train.add_argument("--data", required=True)
-    train.add_argument("--format", default="auto", choices=("auto", "svmlight", "csv"))
+    train = sub.add_parser("train", parents=[data, fmt, config],
+                           help="fit a model and write it to disk")
     train.add_argument("--out", required=True, help="model file path")
     train.add_argument("--trace", default=None, help="optional CSV of per-iteration objectives")
-    _add_config_flags(train)
     train.set_defaults(func=_cmd_train)
 
-    pred = sub.add_parser("predict", help="score a dataset with a trained model")
+    pred = sub.add_parser("predict", parents=[data, fmt],
+                          help="score a dataset with a trained model")
     pred.add_argument("--model", required=True)
-    pred.add_argument("--data", required=True)
-    pred.add_argument("--format", default="auto", choices=("auto", "svmlight", "csv"))
     pred.add_argument("--out", default="-", help="predictions TSV ('-' for stdout)")
     pred.set_defaults(func=_cmd_predict)
 
-    evaluate = sub.add_parser("eval", help="measure predictions against truth labels")
+    evaluate = sub.add_parser("eval", parents=[fmt],
+                              help="measure predictions against truth labels")
     evaluate.add_argument("--predictions", required=True)
     evaluate.add_argument("--truth", required=True)
-    evaluate.add_argument("--format", default="auto", choices=("auto", "svmlight", "csv"))
-    evaluate.add_argument("--measure", default=None, choices=[k.value for k in MeasureKind],
+    evaluate.add_argument("--measure", default=None, choices=list(MEASURES),
                           help="restrict output to one measure (default: all three)")
     evaluate.set_defaults(func=_cmd_eval)
 
-    cv = sub.add_parser("cv", help="k-fold cross-validation report")
-    cv.add_argument("--data", required=True)
-    cv.add_argument("--format", default="auto", choices=("auto", "svmlight", "csv"))
-    cv.add_argument("--k", type=int, default=10)
-    cv.add_argument("--stratified", action="store_true")
-    cv.add_argument("--jobs", type=int, default=None, help=JOBS_HELP)
+    cv = sub.add_parser("cv", parents=[data, fmt, folds, config],
+                        help="k-fold cross-validation report")
     cv.add_argument("--omit-timing", action="store_true",
                     help="null the wall-clock fields for byte-reproducible reports")
     cv.add_argument("--out", default="-", help="report JSON ('-' for stdout)")
-    _add_config_flags(cv)
     cv.set_defaults(func=_cmd_cv)
 
-    sweep = sub.add_parser("sweep", help="cross-validate over a grid of tradeoff weights")
-    sweep.add_argument("--data", required=True)
-    sweep.add_argument("--format", default="auto", choices=("auto", "svmlight", "csv"))
+    sweep = sub.add_parser("sweep", parents=[data, fmt, folds, config],
+                           help="cross-validate over a grid of tradeoff weights")
     sweep.add_argument("--c1-grid", required=True, help="comma-separated c1 values")
     sweep.add_argument("--c2-grid", required=True, help="comma-separated c2 values")
     sweep.add_argument("--c3-grid", required=True, help="comma-separated c3 values")
-    sweep.add_argument("--k", type=int, default=10)
-    sweep.add_argument("--stratified", action="store_true")
-    sweep.add_argument("--jobs", type=int, default=None, help=JOBS_HELP)
     sweep.add_argument("--out", default="-", help="sweep CSV ('-' for stdout)")
-    _add_config_flags(sweep)
     sweep.set_defaults(func=_cmd_sweep)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DatasetFormatError, ModelFormatError) as exc:
+    except (OSError, ValueError, NumericalDivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (DegenerateClassError, UndefinedTupleLossError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericalDivergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        if isinstance(exc, (OSError, DatasetFormatError, ModelFormatError)):
+            return 1  # unreadable or malformed input
+        return 2 if isinstance(exc, ValueError) else 3  # bad configuration; numerical failure
 
 
 if __name__ == "__main__":

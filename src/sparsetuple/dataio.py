@@ -264,6 +264,8 @@ def parse_csv(data) -> Dataset:
     header = [name.strip() for name in header]
     if "label" not in header:
         raise DatasetFormatError("missing required column 'label'", 1)
+    if header.count("label") > 1:
+        raise DatasetFormatError("more than one 'label' column", 1)
     label_col = header.index("label")
     feature_cols = [i for i in range(len(header)) if i != label_col]
     if not feature_cols:

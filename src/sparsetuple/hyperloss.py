@@ -25,12 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import (
-    DegenerateClassError,
-    MeasureKind,
-    as_label_array,
-    loss_grid,
-)
+from .measures import MeasureKind, as_label_array, loss_grid, require_both_classes
 
 __all__ = [
     "ArgmaxResult",
@@ -113,11 +108,8 @@ def argmax_F_oracle(w, codes, y_true, kind: MeasureKind) -> ArgmaxResult:
         raise ValueError(f"dimension mismatch: {q.size} points vs {n} labels")
     n_pos = int(np.count_nonzero(y == 1))
     n_neg = n - n_pos
-    if kind in (MeasureKind.PRBEP, MeasureKind.AUC) and (n_pos == 0 or n_neg == 0):
-        raise DegenerateClassError(
-            f"degenerate class: {kind.value} needs both classes in the truth "
-            f"(n_pos={n_pos}, n_neg={n_neg})"
-        )
+    if kind in (MeasureKind.PRBEP, MeasureKind.AUC):
+        require_both_classes(kind, n_pos, n_neg)
     pos = np.flatnonzero(y == 1)
     neg = np.flatnonzero(y == -1)
     pos_sorted = pos[np.argsort(q[pos], kind="stable")]

@@ -30,6 +30,7 @@ __all__ = [
     "UndefinedTupleLossError",
     "as_label_array",
     "confusion_counts",
+    "require_both_classes",
     "loss_grid",
     "tuple_loss",
     "auc_from_scores",
@@ -92,6 +93,15 @@ def confusion_counts(y_true, y_pred) -> ConfusionCounts:
     return ConfusionCounts(tp, fp, tn, fn)
 
 
+def require_both_classes(kind: MeasureKind, n_pos: int, n_neg: int) -> None:
+    """Raise :class:`DegenerateClassError` unless the truth holds both classes."""
+    if n_pos == 0 or n_neg == 0:
+        raise DegenerateClassError(
+            f"degenerate class: {kind.value} needs both classes in the truth "
+            f"(n_pos={n_pos}, n_neg={n_neg})"
+        )
+
+
 def loss_grid(kind: MeasureKind, fn, fp, n_pos: int, n_neg: int) -> np.ndarray:
     """Tuple losses for arrays of (fn, fp) counts against a fixed truth.
 
@@ -107,11 +117,7 @@ def loss_grid(kind: MeasureKind, fn, fp, n_pos: int, n_neg: int) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore"):
             loss = np.where(denom > 0, 1.0 - 2.0 * tp / np.where(denom > 0, denom, 1.0), 0.0)
         return loss
-    if n_pos == 0 or n_neg == 0:
-        raise DegenerateClassError(
-            f"degenerate class: {kind.value} needs both classes in the truth "
-            f"(n_pos={n_pos}, n_neg={n_neg})"
-        )
+    require_both_classes(kind, n_pos, n_neg)
     if kind is MeasureKind.AUC:
         wrong = fn * fp
         tied = fn * (n_neg - fp) + (n_pos - fn) * fp

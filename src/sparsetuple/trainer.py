@@ -10,7 +10,7 @@ previous iterate's codes and weights and held fixed inside the iteration;
 the search that scores the end of one iteration supplies it to the next.
 
 Test-time codes are the ridge codes ``(D'D + c1 I)^-1 D'x`` of the frozen
-dictionary, the same map that starts the training codes.
+dictionary; :func:`encode` computes them, and also starts the training codes.
 """
 
 from __future__ import annotations
@@ -140,28 +140,10 @@ class Model:
         self.trace = tuple(self.trace)
 
 
-def ridge_codes(elements: np.ndarray, X: np.ndarray, c1: float) -> np.ndarray:
-    """Codes from the ridge system ``(D'D + c1 I) s = D'x`` for each column.
-
-    Solves for the m-by-d projection ``(D'D + c1 I)^-1 D'`` once and applies
-    it to ``X``, so the only m-by-n array is the result.  The projection is
-    the dictionary's size; it outweighs one m-by-n array only when d > n,
-    a case accepted rather than given a second path.
-    """
-    m = elements.shape[1]
-    gram = elements.T @ elements + c1 * np.eye(m)
-    try:
-        projection = np.linalg.solve(gram, elements.T)
-    except np.linalg.LinAlgError:
-        # c1 = 0 with rank-deficient elements; fall back to least squares.
-        projection = np.linalg.lstsq(gram, elements.T, rcond=None)[0]
-    return projection @ X
-
-
 def initialize(
     data: Dataset, config: TrainConfig, rng: np.random.Generator
 ) -> tuple[Dictionary, np.ndarray, np.ndarray]:
-    """Starting point of a run: sampled dictionary, ridge codes, small weights.
+    """Starting point of a run: sampled dictionary, the :func:`encode` codes, small weights.
 
     Dictionary elements are data points sampled without replacement (with
     replacement only if the dictionary is larger than the dataset), each
@@ -178,10 +160,9 @@ def initialize(
         columns[:, j] = rng.standard_normal(d)
         norms[j] = np.linalg.norm(columns[:, j])
     columns *= np.sqrt(config.norm_cap) / norms
-    codes = ridge_codes(columns, data.features.T, config.c1)
+    dictionary = Dictionary(columns, config.norm_cap, np.full(m, ALPHA_INIT))
     weights = rng.uniform(-WEIGHT_INIT_SCALE, WEIGHT_INIT_SCALE, size=m)
-    multipliers = np.full(m, ALPHA_INIT)
-    return Dictionary(columns, config.norm_cap, multipliers), codes, weights
+    return dictionary, encode(dictionary, data.features, config), weights
 
 
 # Magnitudes beyond this square to IEEE overflow inside the Gram products.
@@ -302,16 +283,25 @@ def encode(dictionary: Dictionary, features, config: TrainConfig) -> np.ndarray:
     ``features``: the minimizer of ``||x - D s||^2 + c1 ||s||^2``.  They are
     dense, not exactly sparse, as are the codes ``fit`` trains; with
     ``c1 = 0`` and a rank-deficient dictionary they are the least-squares
-    solution.  Fully deterministic.  Beyond the m-by-n codes it holds the
-    m-by-d projection, the same size as the dictionary; that is more than
-    the codes only when d > n, which is accepted rather than branched on.
+    solution.  Fully deterministic.  The m-by-d projection
+    ``(D'D + c1 I)^-1 D'`` is solved for once and applied to the features, so
+    the only m-by-n array is the result; the projection is the dictionary's
+    size and outweighs it only when d > n, which is accepted rather than
+    branched on.
     """
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != dictionary.d:
         raise ValueError(
             f"dimension mismatch: features {X.shape} vs dictionary with d={dictionary.d}"
         )
-    return ridge_codes(dictionary.elements, X.T, config.c1)
+    elements = dictionary.elements
+    gram = elements.T @ elements + config.c1 * np.eye(dictionary.m)
+    try:
+        projection = np.linalg.solve(gram, elements.T)
+    except np.linalg.LinAlgError:
+        # c1 = 0 with rank-deficient elements; fall back to least squares.
+        projection = np.linalg.lstsq(gram, elements.T, rcond=None)[0]
+    return projection @ X.T
 
 
 def config_document(config: TrainConfig) -> dict:

@@ -56,6 +56,46 @@ class TestConfigFlags:
         flags = {action.dest: action.option_strings for action in subparser._actions}
         assert {dest: flags.get(dest) for dest in config_flags} == config_flags
 
+    def test_flags_of_every_subcommand(self):
+        data = ("data", ("--data",), None, True, None)
+        fmt = ("format", ("--format",), "auto", False, ("auto", "svmlight", "csv"))
+        config = {
+            ("measure", ("--measure",), "f1", False, ("f1", "prbep", "auc")),
+            ("c1", ("--c1",), 0.1, False, None),
+            ("c2", ("--c2",), 0.01, False, None),
+            ("c3", ("--c3",), 1.0, False, None),
+            ("eta", ("--eta",), 0.01, False, None),
+            ("iters", ("--iters",), 100, False, None),
+            ("dict_size", ("--dict-size",), None, False, None),
+            ("norm_cap", ("--norm-cap",), 1.0, False, None),
+            ("seed", ("--seed",), 0, False, None),
+        }
+        folds = {
+            ("k", ("--k",), 10, False, None),
+            ("stratified", ("--stratified",), False, False, None),
+            ("jobs", ("--jobs",), None, False, None),
+        }
+        expected = {
+            "train": {data, fmt, *config, ("out", ("--out",), None, True, None),
+                      ("trace", ("--trace",), None, False, None)},
+            "predict": {data, fmt, ("model", ("--model",), None, True, None),
+                        ("out", ("--out",), "-", False, None)},
+            "eval": {fmt, ("predictions", ("--predictions",), None, True, None),
+                     ("truth", ("--truth",), None, True, None),
+                     ("measure", ("--measure",), None, False, ("f1", "prbep", "auc"))},
+            "cv": {data, fmt, *config, *folds, ("out", ("--out",), "-", False, None),
+                   ("omit_timing", ("--omit-timing",), False, False, None)},
+            "sweep": {data, fmt, *config, *folds, ("out", ("--out",), "-", False, None),
+                      *((f"c{i}_grid", (f"--c{i}-grid",), None, True, None) for i in (1, 2, 3))},
+        }
+        choices = build_parser()._subparsers._group_actions[0].choices
+        assert set(choices) == set(expected)
+        for command, flags in expected.items():
+            actual = {(action.dest, tuple(action.option_strings), action.default,
+                       action.required, None if action.choices is None else tuple(action.choices))
+                      for action in choices[command]._actions if action.dest != "help"}
+            assert actual == flags, command
+
     @pytest.mark.parametrize("flag", ["--eta-backoff", "--eps", "--dual-steps"])
     def test_retired_flags_exit_2(self, data_file, tmp_path, flag):
         data_path, _ = data_file
@@ -339,6 +379,20 @@ class TestEval:
         out = capsys.readouterr().out.strip().split("\n")
         assert out == [f"auc {0.75!r}"]
 
+    @pytest.mark.parametrize("measure", ["f1", "prbep", "auc"])
+    def test_measure_filter_prints_that_line_of_the_full_output(self, tmp_path, capsys,
+                                                                 measure):
+        truth, preds = self.write_files(
+            tmp_path, [1, -1, 1, -1, 1], [0.9, 0.8, 0.3, 0.1, -0.2], [1, 1, -1, -1, -1]
+        )
+        argv = ["eval", "--predictions", str(preds), "--truth", str(truth)]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines(keepends=True)
+        assert [line.split()[0] for line in lines] == ["f1", "prbep", "auc"]
+        assert main(argv + ["--measure", measure]) == 0
+        assert capsys.readouterr().out == next(
+            line for line in lines if line.startswith(f"{measure} "))
+
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_score_exits_1_with_its_line(self, tmp_path, capsys, bad):
         truth, preds = self.write_files(tmp_path, [1, -1, 1], [1.0, float(bad), 0.5], [1, -1, 1])
@@ -372,10 +426,14 @@ class TestEval:
          "line 2: label -99999999999999999999 not in {+1, -1}"),
         (["0\t1.0\t+1.0", "1\tnan\t+1"], "line 1: malformed prediction line"),
         (["", "  "], "empty predictions file"),
+        # int() reads each of these as +1 or -1; the data files accept only +1, 1 and -1.
+        *((["0\t1.0\t+1", "1\t0.5\t-1", f"2\t0.5\t{label}"],
+           f"line 3: label {label} not in {{+1, -1}}")
+          for label in ("+01", "0001", "-0001", "\u0661")),
     ])
     def test_first_fault_in_predictions_is_reported(self, tmp_path, capsys, lines, message):
         truth, preds = self.write_files(tmp_path, [1, -1], [1.0, -1.0], [1, -1])
-        preds.write_text("\n".join(lines) + "\n")
+        preds.write_text("\n".join(lines) + "\n", encoding="utf-8")
         assert main(["eval", "--predictions", str(preds), "--truth", str(truth)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
@@ -426,6 +484,14 @@ class TestCv:
                 assert stats[key] == expected
         for row in report["folds"]:
             assert row["seconds"] is not None
+
+    def test_fold_row_keys_in_order(self, data_file, tmp_path):
+        data_path, _ = data_file
+        out = tmp_path / "report.json"
+        assert main(self.cv_flags(data_path, out, **{"--k": "2", "--iters": "2"})) == 0
+        for row in json.loads(out.read_text())["folds"]:
+            assert list(row) == ["fold", "seed", "test_indices", "n_test", "f1", "prbep", "auc",
+                                 "seconds", "status", "note"]
 
     def test_partition_matches_kfold_split(self, data_file, tmp_path):
         data_path, ds = data_file

@@ -335,6 +335,12 @@ class TestParseCsv:
         with pytest.raises(DatasetFormatError, match="missing required column"):
             parse_csv("a,b\n1,2")
 
+    def test_second_label_column_rejected(self):
+        with pytest.raises(DatasetFormatError) as info:
+            parse_csv("label,f1,label\n+1,1.0,-1\n-1,2.0,+1")
+        assert info.value.line == 1
+        assert str(info.value) == "line 1: more than one 'label' column"
+
     def test_non_numeric_cell(self):
         with pytest.raises(DatasetFormatError, match="non-numeric"):
             parse_csv("label,f1\n+1,abc")

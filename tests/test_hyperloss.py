@@ -230,6 +230,17 @@ class TestOracle:
             with pytest.raises(DegenerateClassError):
                 argmax_F_oracle(w, S, y, kind)
 
+    def test_degenerate_class_message_matches_the_loss_grid(self):
+        y = np.ones(3, dtype=int)
+        for kind in (MeasureKind.PRBEP, MeasureKind.AUC):
+            message = (f"degenerate class: {kind.value} needs both classes in the truth "
+                       "(n_pos=3, n_neg=0)")
+            with pytest.raises(DegenerateClassError) as oracle:
+                argmax_F_oracle(np.zeros(1), np.ones((1, 3)), y, kind)
+            with pytest.raises(DegenerateClassError) as grid:
+                loss_grid(kind, 0, 0, 3, 0)
+            assert str(oracle.value) == str(grid.value) == message
+
     def test_f1_allows_single_class(self):
         w = np.array([0.3])
         S = np.array([[1.0, -2.0, 0.5]])
