@@ -24,8 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import (_LABEL_TOKENS, Dataset, DatasetFormatError, _decode, kfold_split,
-                     parse_csv, parse_svmlight)
+from .dataio import (Dataset, DatasetFormatError, kfold_split, parse_csv, parse_predictions,
+                     parse_svmlight)
 from .measures import (
     DegenerateClassError,
     MeasureKind,
@@ -131,43 +131,8 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     return 0
 
 
-def _raise_prediction_fault(lines: list[str]) -> None:
-    """Raise the first fault the per-line rules find in stripped prediction lines."""
-    for line_no, line in enumerate(lines, start=1):
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise DatasetFormatError("prediction line must be id<TAB>score<TAB>label", line_no)
-        label = parts[2].strip()
-        try:
-            score = float(parts[1])
-            int(label)  # a label that is no integer makes the line malformed
-        except ValueError:
-            raise DatasetFormatError("malformed prediction line", line_no) from None
-        if not np.isfinite(score):
-            raise DatasetFormatError(f"non-finite score {parts[1]!r}", line_no)
-        if label not in _LABEL_TOKENS:  # the data files' label rule
-            raise DatasetFormatError(f"label {label} not in {{+1, -1}}", line_no)
-    raise DatasetFormatError("empty predictions file")
-
-
-def _read_predictions(path: str) -> tuple[np.ndarray, np.ndarray]:
-    text = _decode(Path(path).read_bytes())  # lines end at \n, \r\n or \r, as in text mode
-    lines = [raw.strip() for raw in io.StringIO(text, newline=None)]
-    try:  # the whole file at once; the per-line rules name the first fault
-        _, scores, labels = zip(*(line.split("\t") for line in lines if line), strict=True)
-        scores = np.fromiter(map(float, scores), np.float64, len(scores))
-        labels = np.array([_LABEL_TOKENS.get(label.strip(), 0) for label in labels], np.int64)
-        if np.all(np.isfinite(scores)) and np.all(labels != 0):
-            return scores, labels
-    except ValueError:
-        pass
-    _raise_prediction_fault(lines)
-
-
 def _cmd_eval(args: argparse.Namespace) -> int:
-    scores, labels = _read_predictions(args.predictions)
+    scores, labels = parse_predictions(Path(args.predictions).read_bytes())
     truth = _load_dataset(args.truth, args.format)
     if truth.n != labels.size:
         raise ValueError(

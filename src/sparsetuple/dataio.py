@@ -1,27 +1,33 @@
 """Dataset parsing, serialization, and deterministic k-fold splitting into fold numbers.
 
-Two text formats are understood: sparse svmlight-style lines
+Three text formats are read: sparse svmlight-style lines
 (``<label> <index>:<value> ...`` with 1-based strictly increasing indices
-and ``#`` comments) and CSV with a header containing a ``label`` column.
-Features are stored dense; the sparse format is an input convention, not a
-storage contract.
+and ``#`` comments), CSV with a header containing a ``label`` column, and
+the ``id<TAB>score<TAB>label`` lines that ``predict`` writes.  Features are
+stored dense; the sparse format is an input convention, not a storage contract.
+
+One set of rules holds for all three: labels are ``+1``, ``1`` or ``-1``,
+and the first fault in file order is reported with its physical line, a
+byte that is not UTF-8 included.  CSV and prediction lines end at LF, CRLF
+or CR; svmlight lines end at LF, and a CR there is whitespace.
 
 svmlight indices and values follow Python's ``int()`` and ``float()``
-syntax.  The first error in file order is reported, with its line.  Input
-is read and converted in blocks of whole lines of about 16 KB.  A canonical
-block, single-spaced ASCII ``label index:value ...`` lines with no tab, CR,
-``#`` or blank line, is checked and split as a whole; any other block is
-tokenized a line at a time and re-joined in canonical form first.  Besides
-the dense matrix, parsing keeps 16 bytes an entry, under 16 a line and
-under 1 KB a block, plus the working set of one block.
+syntax.  Input is read and converted in blocks of whole lines of about
+16 KB.  A canonical block, single-spaced ASCII ``label index:value ...``
+lines with no tab, CR, ``#`` or blank line, is checked and split as a
+whole; any other block is tokenized a line at a time and re-joined in
+canonical form first.  Besides the dense matrix, parsing keeps 16 bytes an
+entry, under 16 a line and under 1 KB a block, plus the working set of one
+block.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -33,6 +39,7 @@ __all__ = [
     "parse_svmlight",
     "serialize_svmlight",
     "parse_csv",
+    "parse_predictions",
     "kfold_split",
 ]
 
@@ -77,10 +84,10 @@ class Dataset:
         return self.features.shape[1]
 
 
-def _decode(data, line: int = 1) -> str:
+def _decode(data: bytes, line: int) -> str:
     """``data`` as text; bytes that are not UTF-8 are reported at their line."""
     try:
-        return data.decode("utf-8") if isinstance(data, bytes) else str(data)
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise DatasetFormatError(f"byte {data[exc.start]:#04x} is not UTF-8 ({exc.reason})",
                                  line + data.count(b"\n", 0, exc.start)) from None
@@ -91,6 +98,14 @@ def _parse_label(token: str, line_no: int) -> int:
         return _LABEL_TOKENS[token]
     except KeyError:
         raise DatasetFormatError(f"label {token!r} not in {{+1, -1}}", line_no) from None
+
+
+def _text_lines(data):
+    """``(line number, text)`` of each line, ended by LF, CRLF or CR, each decoded on its own."""
+    chunks = io.BytesIO(data.encode("utf-8") if isinstance(data, str) else data)  # end at LF
+    lines = chain.from_iterable(chunk.splitlines(keepends=True) for chunk in chunks)
+    for line_no, line in enumerate(lines, start=1):
+        yield line_no, _decode(line, line_no).rstrip("\r\n")
 
 
 # Bytes of whole lines read and converted at a time: one block bounds the working memory.
@@ -256,48 +271,71 @@ def serialize_svmlight(dataset: Dataset) -> str:
 
 def parse_csv(data) -> Dataset:
     """Parse header-first CSV with a ``label`` column into a Dataset."""
-    reader = csv.reader(io.StringIO(_decode(data)))
+    reader = csv.reader(text + "\n" for _, text in _text_lines(data))
+    labels, rows = [], []
     try:
-        header = next(reader)
-    except StopIteration:
-        raise DatasetFormatError("empty dataset") from None
-    header = [name.strip() for name in header]
-    if "label" not in header:
-        raise DatasetFormatError("missing required column 'label'", 1)
-    if header.count("label") > 1:
-        raise DatasetFormatError("more than one 'label' column", 1)
-    label_col = header.index("label")
-    feature_cols = [i for i in range(len(header)) if i != label_col]
-    if not feature_cols:
-        raise DatasetFormatError("no feature columns besides 'label'", 1)
-    labels: list[int] = []
-    rows: list[list[float]] = []
-    for line_no, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != len(header):
-            raise DatasetFormatError(
-                f"expected {len(header)} cells, found {len(row)}", line_no
-            )
-        labels.append(_parse_label(row[label_col].strip(), line_no))
-        values = []
-        for col in feature_cols:
-            cell = row[col].strip()
-            try:
-                value = float(cell)
-            except ValueError:
-                raise DatasetFormatError(
-                    f"non-numeric feature cell {cell!r} in column {header[col]!r}", line_no
-                ) from None
-            if not np.isfinite(value):
-                raise DatasetFormatError(
-                    f"non-finite feature cell in column {header[col]!r}", line_no
-                )
-            values.append(value)
-        rows.append(values)
+        header = next(reader, None)
+        if header is None:
+            raise DatasetFormatError("empty dataset")
+        header = [name.strip() for name in header]
+        if "label" not in header:
+            raise DatasetFormatError("missing required column 'label'", 1)
+        if header.count("label") > 1:
+            raise DatasetFormatError("more than one 'label' column", 1)
+        label_col = header.index("label")
+        feature_cols = [i for i in range(len(header)) if i != label_col]
+        if not feature_cols:
+            raise DatasetFormatError("no feature columns besides 'label'", 1)
+        for row in reader:
+            line_no = reader.line_num
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != len(header):
+                raise DatasetFormatError(f"expected {len(header)} cells, found {len(row)}", line_no)
+            labels.append(_parse_label(row[label_col].strip(), line_no))
+            values = []
+            for col in feature_cols:
+                cell = row[col].strip()
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise DatasetFormatError(
+                        f"non-numeric feature cell {cell!r} in column {header[col]!r}", line_no
+                    ) from None
+                if not math.isfinite(value):
+                    raise DatasetFormatError(
+                        f"non-finite feature cell in column {header[col]!r}", line_no
+                    )
+                values.append(value)
+            rows.append(values)
+    except csv.Error as exc:  # a cell over the field size limit, or a NUL before Python 3.11
+        raise DatasetFormatError(str(exc), reader.line_num) from None
     if not rows:
         raise DatasetFormatError("empty dataset")
     return Dataset(np.array(rows, dtype=np.float64), np.array(labels, dtype=np.int64))
+
+
+def parse_predictions(data) -> tuple[np.ndarray, np.ndarray]:
+    """Scores and labels of ``id<TAB>score<TAB>label`` lines; blank lines are skipped."""
+    scores, labels = [], []
+    for line_no, text in _text_lines(data):
+        line = text.strip()
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise DatasetFormatError("prediction line must be id<TAB>score<TAB>label", line_no)
+        try:
+            score = float(parts[1])
+        except ValueError:
+            raise DatasetFormatError("malformed prediction line", line_no) from None
+        if not math.isfinite(score):
+            raise DatasetFormatError(f"non-finite score {parts[1]!r}", line_no)
+        scores.append(score)
+        labels.append(_parse_label(parts[2].strip(), line_no))
+    if not scores:
+        raise DatasetFormatError("empty predictions file")
+    return np.array(scores, dtype=np.float64), np.array(labels, dtype=np.int64)
 
 
 def kfold_split(n: int, k: int, seed: int, stratified: bool = False, labels=None) -> np.ndarray:

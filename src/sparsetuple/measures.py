@@ -161,10 +161,7 @@ def auc_from_scores(y_true, scores) -> float:
         raise ValueError("scores must be finite")
     n_pos = int(np.count_nonzero(y == 1))
     n_neg = y.size - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise DegenerateClassError(
-            f"degenerate class: AUC needs both classes (n_pos={n_pos}, n_neg={n_neg})"
-        )
+    require_both_classes(MeasureKind.AUC, n_pos, n_neg)
     ranks = _midranks(s)
     rank_sum = float(ranks[y == 1].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
@@ -184,8 +181,7 @@ def prbep_from_scores(y_true, scores) -> float:
     if not np.all(np.isfinite(s)):
         raise ValueError("scores must be finite")
     n_pos = int(np.count_nonzero(y == 1))
-    if n_pos == 0:
-        raise DegenerateClassError("degenerate class: PRBEP needs at least one positive")
+    require_both_classes(MeasureKind.PRBEP, n_pos, y.size - n_pos)
     order = np.argsort(-s, kind="stable")
     top = order[:n_pos]
     return float(np.count_nonzero(y[top] == 1)) / n_pos

@@ -415,25 +415,30 @@ class TestEval:
         assert main(["eval", "--predictions", str(preds), "--truth", str(truth)]) == 0
         assert capsys.readouterr().out == "f1 1.0\nprbep 1.0\nauc 1.0\n"
 
+    # A case's id is its message without quotes, which a node id on a command line
+    # would need escaped.
     @pytest.mark.parametrize("lines, message", [
-        (["0\t1.0\t+1", "1\t0.5\t2", "2\t0.5"], "line 2: label 2 not in {+1, -1}"),
-        (["0\t1.0\t+1", "1\t0.5\t3", "2\t0.5\t0"], "line 2: label 3 not in {+1, -1}"),
+        (["0\t1.0\t+1", "1\t0.5\t2", "2\t0.5"], "line 2: label '2' not in {+1, -1}"),
+        (["0\t1.0\t+1", "1\t0.5\t3", "2\t0.5\t0"], "line 2: label '3' not in {+1, -1}"),
         (["0\t1.0\t+1", "1\t0.5\t-1\tx", "2\t0.5\t-1"],
          "line 2: prediction line must be id<TAB>score<TAB>label"),
         (["0\t1.0\t+1", "", "2\t0.5", "3\tx\t+1"],
          "line 3: prediction line must be id<TAB>score<TAB>label"),
         (["0\t1.0\t+1", "1\t0.5\t-99999999999999999999"],
-         "line 2: label -99999999999999999999 not in {+1, -1}"),
-        (["0\t1.0\t+1.0", "1\tnan\t+1"], "line 1: malformed prediction line"),
+         "line 2: label '-99999999999999999999' not in {+1, -1}"),
+        (["0\t1.0\t+1.0", "1\tnan\t+1"], "line 1: label '+1.0' not in {+1, -1}"),
         (["", "  "], "empty predictions file"),
         # int() reads each of these as +1 or -1; the data files accept only +1, 1 and -1.
         *((["0\t1.0\t+1", "1\t0.5\t-1", f"2\t0.5\t{label}"],
-           f"line 3: label {label} not in {{+1, -1}}")
+           f"line 3: label '{label}' not in {{+1, -1}}")
           for label in ("+01", "0001", "-0001", "\u0661")),
-    ])
+        # A byte that is not UTF-8 (\udce9 stands for byte 0xe9) comes after an earlier fault.
+        (["0\t1.0\t+1", "1\tx\t-1", "2\t0.5\t+1 \udce9t\udce9"],
+         "line 2: malformed prediction line"),
+    ], ids=lambda value: value.replace("'", "") if isinstance(value, str) else None)
     def test_first_fault_in_predictions_is_reported(self, tmp_path, capsys, lines, message):
         truth, preds = self.write_files(tmp_path, [1, -1], [1.0, -1.0], [1, -1])
-        preds.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        preds.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
         assert main(["eval", "--predictions", str(preds), "--truth", str(truth)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
@@ -567,6 +572,7 @@ class TestCv:
         assert skipped, "expected at least one degenerate test fold"
         for row in skipped:
             assert "degenerate" in row["note"]
+            assert row["prbep"] is None
             assert row["f1"] is not None
 
 
@@ -688,3 +694,17 @@ class TestCsvInput:
         assert main(train_flags(path, tmp_path / "m.json")) == 1
         assert capsys.readouterr().err == (
             "error: line 3: byte 0xff is not UTF-8 (invalid start byte)\n")
+
+    def test_oversized_cell_exits_1_with_its_line(self, tmp_path, capsys):
+        path = tmp_path / "data.csv"
+        path.write_text("label,f1\n+1,1.0\n-1," + "1" * 200_000 + "\n")
+        assert main(train_flags(path, tmp_path / "m.json")) == 1
+        assert capsys.readouterr().err == (
+            "error: line 3: field larger than field limit (131072)\n")
+
+    def test_nul_byte_exits_1_with_its_line(self, tmp_path, capsys):
+        # Python 3.10's csv module rejects a NUL; later ones read it into the cell.
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"label,f1\n+1,1.0\n-1,1\x00\n")
+        assert main(train_flags(path, tmp_path / "m.json")) == 1
+        assert capsys.readouterr().err.startswith("error: line 3: ")

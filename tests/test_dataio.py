@@ -349,6 +349,27 @@ class TestParseCsv:
         with pytest.raises(DatasetFormatError, match="no feature columns"):
             parse_csv("label\n+1")
 
+    @pytest.mark.parametrize("ending", [b"\r\n", b"\r"])
+    def test_line_endings_give_the_lf_matrix(self, ending):
+        lf = b"label,f1,f2\n+1,1.5,-2\n\n-1,0.25,3e-1\n"
+        expected, ds = parse_csv(lf), parse_csv(lf.replace(b"\n", ending))
+        np.testing.assert_array_equal(ds.features, expected.features)
+        np.testing.assert_array_equal(ds.labels, expected.labels)
+
+    @pytest.mark.parametrize("data, line, message", [
+        # a fault on line 2 comes before the byte that is not UTF-8 on line 3
+        (b"label,f1\n+1,abc\n-1,\xff\n", 2, "non-numeric feature cell 'abc' in column 'f1'"),
+        (b"label,f1\n+1,1.0\n-1,\xff\n", 3, "byte 0xff is not UTF-8 (invalid start byte)"),
+        # a quoted cell that spans lines 2 and 3 shifts no later line number
+        (b'label,f1\n+1,"1.0\n"\n-1,abc\n', 4, "non-numeric feature cell 'abc' in column 'f1'"),
+        (b'label,f1\r\n+1,"1.0\r\n"\r\n-1,2\r\n+1,1.0,2\r\n', 5, "expected 2 cells, found 3"),
+        (b"label,f1\n+1,1.0\r-1,abc\r\n", 3, "non-numeric feature cell 'abc' in column 'f1'"),
+    ])
+    def test_first_fault_in_file_order(self, data, line, message):
+        with pytest.raises(DatasetFormatError) as info:
+            parse_csv(data)
+        assert (info.value.line, str(info.value)) == (line, f"line {line}: {message}")
+
 
 class TestDataset:
     def test_rejects_non_finite(self):

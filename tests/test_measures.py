@@ -205,8 +205,9 @@ class TestPrbepFromScores:
         assert prbep_from_scores([1, -1, 1], [0.9, 0.5, 0.5], ) == 0.5
 
     def test_degenerate_class(self):
-        with pytest.raises(DegenerateClassError):
-            prbep_from_scores([-1, -1], [0.5, 0.2])
+        for truth in ([-1, -1], [1, 1]):
+            with pytest.raises(DegenerateClassError, match="prbep needs both classes"):
+                prbep_from_scores(truth, [0.5, 0.2])
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length mismatch"):
