@@ -126,8 +126,8 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     model = load_model(Path(args.model).read_bytes())
     dataset = _load_dataset(args.data, args.format)
     scores, labels = _score(model, dataset.features)
-    lines = [f"{i}\t{float(scores[i])!r}\t{int(labels[i]):+d}" for i in range(dataset.n)]
-    _write_text(args.out, "\n".join(lines) + "\n")
+    rows = [f"{i}\t{s!r}\t{y:+d}" for i, (s, y) in enumerate(zip(scores.tolist(), labels.tolist()))]
+    _write_text(args.out, "\n".join(rows) + "\n")
     return 0
 
 

@@ -316,7 +316,7 @@ def parse_csv(data) -> Dataset:
 
 
 def parse_predictions(data) -> tuple[np.ndarray, np.ndarray]:
-    """Scores and labels of ``id<TAB>score<TAB>label`` lines; blank lines are skipped."""
+    """Scores and labels of ``id<TAB>score<TAB>label`` lines, with ids 0, 1, ...; blanks skipped."""
     scores, labels = [], []
     for line_no, text in _text_lines(data):
         line = text.strip()
@@ -325,6 +325,8 @@ def parse_predictions(data) -> tuple[np.ndarray, np.ndarray]:
         parts = line.split("\t")
         if len(parts) != 3:
             raise DatasetFormatError("prediction line must be id<TAB>score<TAB>label", line_no)
+        if parts[0].strip() != str(len(scores)):
+            raise DatasetFormatError(f"id {parts[0]!r} is not row {len(scores)}", line_no)
         try:
             score = float(parts[1])
         except ValueError:

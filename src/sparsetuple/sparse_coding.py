@@ -74,14 +74,14 @@ def code_gradient_batch(elements, X, S, weights, c1, loss_terms, loss_scale=1.0,
     Column i is the gradient at ``s_i`` of
     ``||x_i - D s_i||^2 + c1 * s_i' diag(u_i) s_i + l_i' s_i`` with the
     reweighting ``u_i`` (column i of ``weights``) and the loss term ``l_i``
-    held fixed.  ``X`` is d-by-n, ``S`` and ``weights`` are m-by-n, and the
-    loss terms ``loss_scale * loss_terms`` broadcast to m-by-n (``fit``
-    passes ``w[:, None]`` and ``c`` for the rank-one ``w c'``).  Note the
-    reconstruction part contributes ``-2 D' (x - D s)``; a plus sign there
-    would ascend the reconstruction error.  The result, the d-by-n residual
-    and one scratch array (the reweighting product, then the loss terms) go
-    into ``out``, ``residual`` and ``scratch``, each allocated if not given;
-    ``scratch`` may be ``weights``, which is read before it is written.
+    held fixed, so it reads column i of each input only.  ``X`` is d-by-n,
+    ``S`` and ``weights`` are m-by-n, and ``loss_scale * loss_terms``
+    broadcasts to m-by-n; ``fit`` passes one block of columns at a time, with
+    ``w[:, None]`` and ``c`` for the rank-one ``w c'``.  The reconstruction
+    part is ``-2 D' (x - D s)``; a plus sign would ascend it.  The result, the
+    d-by-n residual and one scratch array (the reweighting product, then the
+    loss terms) go into ``out``, ``residual`` and ``scratch``, each allocated
+    if not given; ``scratch`` may be ``weights``, read before it is written.
     """
     residual = np.matmul(elements, S, out=residual)
     grads = np.matmul(-2.0 * elements.T, np.subtract(X, residual, out=residual), out=out)

@@ -179,19 +179,31 @@ def _ensure_finite(iteration: int, *arrays) -> None:
 def _codes_blown(codes: np.ndarray, X: np.ndarray) -> bool:
     # Exploding codes flatten the Gram onto one eigendirection, so the solve
     # can hit an exactly singular pivot long before IEEE overflow.
-    return bool(np.abs(codes).max() > 1e6 * (1.0 + np.abs(X).max()))
+    return bool(max(-codes.min(), codes.max()) > 1e6 * (1.0 + np.abs(X).max()))
 
 
 # Floor of the reweighting diagonal 1 / max(|s|, floor).
 _REWEIGHT_FLOOR = 1e-8
+# Columns per block of the code step and of the objective's sums.
+_BLOCK_COLUMNS = 512
+
+
+def _column_blocks(n, *buffers):
+    """Slices of ``_BLOCK_COLUMNS`` columns of ``range(n)``, block-wide buffers cut to each."""
+    for start in range(0, n, _BLOCK_COLUMNS):
+        yield (slice(start, start + _BLOCK_COLUMNS), *(b[:, :n - start] for b in buffers))
 
 
 def _objective_entry(X, elements, codes, weights, labels, config: TrainConfig,
                      residual=None, scratch=None):
-    """Objective components and the bound's argmax; the residual and |codes| use the buffers given."""
-    residual = np.subtract(X, np.matmul(elements, codes, out=residual), out=residual)
-    reconstruction = float(np.sum(np.multiply(residual, residual, out=residual)))
-    sparsity = float(np.abs(codes, out=scratch).sum())
+    """Objective components and the bound's argmax; the sums run blockwise in the buffers given."""
+    if residual is None:
+        residual, scratch = (np.empty((r, _BLOCK_COLUMNS)) for r in (len(X), len(codes)))
+    reconstruction = sparsity = 0.0
+    for block, r, a in _column_blocks(X.shape[1], residual, scratch):
+        r = np.subtract(X[:, block], np.matmul(elements, codes[:, block], out=r), out=r)
+        reconstruction += float(np.sum(np.multiply(r, r, out=r)))
+        sparsity += float(np.abs(codes[:, block], out=a).sum())
     complexity = 0.5 * float(weights @ weights)
     result = hyperloss.argmax_F_oracle(weights, codes, labels, config.measure)
     surrogate = result.max_value
@@ -217,10 +229,10 @@ def fit(data: Dataset, config: TrainConfig, observer=None) -> Model:
     Single-class labels raise :class:`DegenerateClassError` for PRBEP and
     AUC from the first argmax, before any update.
 
-    Every m-by-n and d-by-n temporary lives in one workspace allocated per
-    run: the reweighting (reused for the loss terms and ``|codes|``), the
-    gradient and the d-by-n residual.  The peak holds the codes, this
-    workspace and n-length vectors.
+    The code step and the objective's sums run over blocks of B =
+    ``_BLOCK_COLUMNS`` columns in one workspace per run, so the codes are
+    the only m-by-n array: an m-by-B reweighting (reused for the loss terms
+    and ``|codes|``), an m-by-B gradient and a d-by-B residual.
     """
     observe = observer or (lambda stage, iteration: None)
     y = data.labels
@@ -236,7 +248,7 @@ def fit(data: Dataset, config: TrainConfig, observer=None) -> Model:
     trace: list[TraceEntry] = []
     converged: list[bool] = []
     result = hyperloss.argmax_F_oracle(weights, codes, y, config.measure)
-    work, grads, residual = np.empty(codes.shape), np.empty(codes.shape), np.empty(X.shape)
+    work, grads, residual = (np.empty((k, min(_BLOCK_COLUMNS, data.n))) for k in (m, m, data.d))
     for iteration in range(config.iters):
         observe("dictionary", iteration)
 
@@ -244,12 +256,13 @@ def fit(data: Dataset, config: TrainConfig, observer=None) -> Model:
         # that iterate was scored), frozen for the rest of this iteration.
         coefficients = hyperloss.flip_coefficients(y, result.maximizers, config.c3)
 
-        sparse_coding.smoothing_weights(codes, _REWEIGHT_FLOOR, work)
-        # Loss terms np.outer(weights, coefficients), built in work once its reweighting is used.
-        sparse_coding.code_gradient_batch(elements, X, codes, work, config.c1, coefficients,
-                                          weights[:, None], grads, work, residual)
-        grads *= config.eta
-        codes -= grads
+        for block, u, g, r in _column_blocks(data.n, work, grads, residual):
+            S = codes[:, block]
+            sparse_coding.smoothing_weights(S, _REWEIGHT_FLOOR, u)
+            # Loss terms np.outer(weights, coefficients), built in u once its reweighting is used.
+            sparse_coding.code_gradient_batch(elements, X[:, block], S, u, config.c1,
+                                              coefficients[block], weights[:, None], g, u, r)
+            S -= np.multiply(config.eta, g, out=g)
         observe("codes", iteration)
 
         weights = weights - config.eta * hyperloss.loss_gradient_w(

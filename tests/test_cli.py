@@ -435,12 +435,33 @@ class TestEval:
         # A byte that is not UTF-8 (\udce9 stands for byte 0xe9) comes after an earlier fault.
         (["0\t1.0\t+1", "1\tx\t-1", "2\t0.5\t+1 \udce9t\udce9"],
          "line 2: malformed prediction line"),
+        # The k-th non-blank line carries id k, as predict writes it.
+        (["abc\t1.0\t+1", "1\t0.5\t-1"], "line 1: id 'abc' is not row 0"),
+        (["0\t1.0\t+1", "", "2\t0.5\t-1"], "line 3: id '2' is not row 1"),
+        (["1\t1.0\tx", "0\tnan\t+1"], "line 1: id '1' is not row 0"),
     ], ids=lambda value: value.replace("'", "") if isinstance(value, str) else None)
     def test_first_fault_in_predictions_is_reported(self, tmp_path, capsys, lines, message):
         truth, preds = self.write_files(tmp_path, [1, -1], [1.0, -1.0], [1, -1])
         preds.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
         assert main(["eval", "--predictions", str(preds), "--truth", str(truth)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_swapped_rows_exit_1_with_the_first_misplaced_line(self, tmp_path, capsys):
+        # Rows 0 and 2 swapped, ids kept: read in line order they would score the wrong truth rows.
+        truth, preds = self.write_files(tmp_path, [1, -1, 1, -1], [0.9, -0.8, 0.3, -0.1],
+                                        [1, -1, 1, -1])
+        lines = preds.read_text().splitlines()
+        lines[0], lines[2] = lines[2], lines[0]
+        preds.write_text("\n".join(lines) + "\n")
+        assert main(["eval", "--predictions", str(preds), "--truth", str(truth)]) == 1
+        assert capsys.readouterr().err == "error: line 1: id '2' is not row 0\n"
+
+    def test_ids_may_be_padded_like_labels(self, tmp_path, capsys):
+        y = [1, -1]
+        truth, preds = self.write_files(tmp_path, y, [1.0, -1.0], y)
+        preds.write_text("0 \t1.0\t+1\n 1\t-1.0\t-1 \n")
+        assert main(["eval", "--predictions", str(preds), "--truth", str(truth)]) == 0
+        assert capsys.readouterr().out == "f1 1.0\nprbep 1.0\nauc 1.0\n"
 
     def test_misaligned_exits_2(self, tmp_path, capsys):
         truth, preds = self.write_files(tmp_path, [1, -1], [1.0, -1.0], [1, -1])

@@ -8,7 +8,12 @@ from sparsetuple import hyperloss, trainer
 from sparsetuple.dataio import Dataset
 from sparsetuple.hyperloss import predict
 from sparsetuple.measures import DegenerateClassError, MeasureKind, tuple_loss
-from sparsetuple.sparse_coding import Dictionary, solve_dictionary
+from sparsetuple.sparse_coding import (
+    Dictionary,
+    code_gradient_batch,
+    smoothing_weights,
+    solve_dictionary,
+)
 from sparsetuple.trainer import (
     Model,
     ModelFormatError,
@@ -268,30 +273,53 @@ class TestFit:
     def test_magnitudes_up_to_the_overflow_limit_pass(self):
         trainer._ensure_finite(0, np.array([1e140, -1e140]), np.empty((0, 3)))
 
-    def test_peak_memory_is_at_most_six_code_matrices(self):
-        # The codes, their reweighting, the loss term, the gradient and one
-        # scratch array: the step itself is taken in place.
+    @pytest.mark.parametrize("m", [40, 120])
+    def test_peak_memory_is_at_most_two_code_matrices(self, m):
+        # The codes plus block-wide buffers: the code step and the objective's
+        # sums run over column blocks, so no other array of the codes' size is
+        # allocated (d = 20 < m, so no d-by-n array outweighs one either).
         ds = make_gaussian_dataset(n=6000, d=20)
         tracemalloc.start()
         try:
-            fit(ds, TrainConfig(iters=3, dict_size=40))
+            fit(ds, TrainConfig(iters=3, dict_size=m))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 6 * 40 * 6000 * 8
+        assert peak <= 2 * m * 6000 * 8
 
-    def test_peak_memory_is_at_most_four_code_matrices(self):
-        # The codes, the workspace's two arrays of their shape and its d-by-n
-        # residual (half a code matrix here): no temporary of that size is
-        # allocated inside an iteration.
-        ds = make_gaussian_dataset(n=6000, d=20)
-        tracemalloc.start()
-        try:
-            fit(ds, TrainConfig(iters=3, dict_size=40))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 4 * 40 * 6000 * 8
+    def test_blocked_code_step_matches_the_whole_array_step(self):
+        # n = 2.5 blocks: two full blocks and a half one.  A code's gradient
+        # reads its own column only, so the blocks give the whole-array step
+        # up to the rounding a BLAS build may apply to a block.
+        n = 5 * trainer._BLOCK_COLUMNS // 2
+        ds = make_gaussian_dataset(seed=3, n=n, d=6)
+        config = TrainConfig(iters=1, dict_size=9, seed=5)
+        _, stepped = fit_with_codes(ds, config)
+
+        dictionary, codes, weights = initialize(ds, config, np.random.default_rng(config.seed))
+        X = ds.features.T
+        elements = solve_dictionary(X, codes, dictionary.multipliers)
+        result = hyperloss.argmax_F_oracle(weights, codes, ds.labels, config.measure)
+        coefficients = hyperloss.flip_coefficients(ds.labels, result.maximizers, config.c3)
+        reweighting = smoothing_weights(codes, trainer._REWEIGHT_FLOOR)
+        grads = code_gradient_batch(elements, X, codes, reweighting, config.c1,
+                                    np.outer(weights, coefficients))
+        expected = codes - config.eta * grads
+        np.testing.assert_allclose(stepped, expected, rtol=1e-14,
+                                   atol=1e-14 * np.abs(expected).max())
+
+    @pytest.mark.parametrize("buffers", ["given", "allocated"])
+    def test_blocked_objective_sums_match_the_whole_array_sums(self, buffers):
+        rng = np.random.default_rng(17)
+        d, m, n = 6, 9, 5 * trainer._BLOCK_COLUMNS // 2
+        X, D, S = rng.normal(size=(d, n)), rng.normal(size=(d, m)), rng.normal(size=(m, n))
+        ds = make_gaussian_dataset(n=n, d=d)
+        width = trainer._BLOCK_COLUMNS
+        given = (np.empty((d, width)), np.empty((m, width))) if buffers == "given" else ()
+        entry, _ = trainer._objective_entry(X, D, S, rng.normal(size=m), ds.labels,
+                                            TrainConfig(), *given)
+        np.testing.assert_allclose(entry.reconstruction, np.sum((X - D @ S) ** 2), rtol=1e-12)
+        np.testing.assert_allclose(entry.sparsity, np.abs(S).sum(), rtol=1e-12)
 
     def test_oracle_runs_once_per_iteration(self, monkeypatch):
         # the argmax that scores iteration t's end is the one t + 1 starts from
