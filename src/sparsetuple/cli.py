@@ -33,7 +33,7 @@ from .measures import (
     prbep_from_scores,
     tuple_loss,
 )
-from .hyperloss import point_scores, predict
+from .hyperloss import predict
 from .trainer import (
     Model,
     ModelFormatError,
@@ -60,11 +60,12 @@ MEASURES = {
 SWEEP_HEADER = ("c1", "c2", "c3", *(f"{name}_median" for name in MEASURES), "status")
 
 
-def _load_dataset(path: str, fmt: str = "auto") -> Dataset:
+def _load_dataset(path: str, fmt: str = "auto", min_width: int = 0) -> Dataset:
+    """The dataset at ``path``; svmlight input gets at least ``min_width`` columns."""
     data = Path(path).read_bytes()
     if fmt == "csv" or (fmt == "auto" and path.endswith(".csv")):
         return parse_csv(data)
-    return parse_svmlight(data)
+    return parse_svmlight(data, min_width)
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -117,14 +118,24 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _score(model: Model, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The score and the +1/-1 label that ``model`` gives each row of ``features``."""
-    codes = encode(model.dictionary, features, model.config)
-    return point_scores(model.weights, codes), predict(model.weights, codes)
+    """The score and the +1/-1 label that ``model`` gives each row of ``features``.
+
+    A score is ``w . P x`` for the ridge projection ``P``, that is ``v . x``
+    with ``v = P'w``.  ``encode`` is linear, so the codes of the d unit
+    vectors are ``P`` itself: one m-by-d array, and no m-by-n codes.
+    """
+    d = model.dictionary.d
+    if features.shape[1] != d:
+        raise ValueError(f"dimension mismatch: features {features.shape} vs dictionary with d={d}")
+    scores = features @ (model.weights @ encode(model.dictionary, np.eye(d), model.config))
+    # The labels predict gives these scores, each read as a one-entry code of unit weight.
+    return scores, predict(np.ones(1), scores[np.newaxis])
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
     model = load_model(Path(args.model).read_bytes())
-    dataset = _load_dataset(args.data, args.format)
+    # Columns that are zero on every line leave no svmlight entry.
+    dataset = _load_dataset(args.data, args.format, model.dictionary.d)
     scores, labels = _score(model, dataset.features)
     rows = [f"{i}\t{s!r}\t{y:+d}" for i, (s, y) in enumerate(zip(scores.tolist(), labels.tolist()))]
     _write_text(args.out, "\n".join(rows) + "\n")

@@ -16,9 +16,10 @@ syntax.  Input is read and converted in blocks of whole lines of about
 16 KB.  A canonical block, single-spaced ASCII ``label index:value ...``
 lines with no tab, CR, ``#`` or blank line, is checked and split as a
 whole; any other block is tokenized a line at a time and re-joined in
-canonical form first.  Besides the dense matrix, parsing keeps 16 bytes an
-entry, under 16 a line and under 1 KB a block, plus the working set of one
-block.
+canonical form first.  Besides the dense matrix, parsing keeps each entry's
+column number in 1 or 2 bytes, under 16 bytes a line and under 1 KB a
+block, plus the working set of one block; when lines omit entries, their
+values wait to be scattered, 8 bytes an entry more.
 """
 
 from __future__ import annotations
@@ -163,13 +164,13 @@ def _tokenize(text: str, first: int) -> list:
     return lines
 
 
-def _blocks(data):
+def _blocks(data: bytes):
     """Each block as canonical text: ``label( index:value)*`` lines, single-spaced.
 
     Yields the text, the number of its first line and, for a block that had
     to be tokenized, its ``(line number, tokens)`` pairs, else None.
     """
-    stream = io.BytesIO(data.encode("utf-8") if isinstance(data, str) else data)
+    stream = io.BytesIO(data)
     first = 1
     while lines := stream.readlines(_BLOCK_BYTES):
         block = b"".join(lines)
@@ -217,33 +218,55 @@ def _convert_block(text: str):
     return labels, counts, indices, values
 
 
-def parse_svmlight(data) -> Dataset:
-    """Parse svmlight text (UTF-8 bytes, or a str, encoded first) into a dense Dataset."""
+def parse_svmlight(data, min_width: int = 0) -> Dataset:
+    """Parse svmlight text (UTF-8 bytes, or a str, encoded first) into a dense Dataset.
+
+    The matrix has ``max(largest index, min_width)`` columns: a column that is
+    zero on every line leaves no entry.  Entry values go, in file order, into
+    one buffer sized by the colon count (an entry holds one colon), which is
+    the matrix when no line omits an entry; otherwise they are scattered into
+    a zero matrix by the column numbers each block keeps.
+    """
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    values = np.empty(data.count(b":"), dtype=np.float64)
     labels, blocks = [], []
-    top = top_line = 0  # the largest index, and the line it first appears on
+    total = top = top_line = 0  # entries so far; the largest index, and its first line
     for text, first, tokenized in _blocks(data):
         converted = _convert_block(text)
         if converted is None:
             _raise_first_error(tokenized or _tokenize(text, first))
-        block_labels, counts, indices, values = converted
-        if indices.max(initial=0) > top:
-            top, at = int(indices.max()), int(np.argmax(indices))
+        block_labels, counts, indices, block_values = converted
+        block_top = int(indices.max(initial=0))
+        if block_top > top:
+            top, at = block_top, int(np.argmax(indices))
             row = int(np.searchsorted(np.cumsum(counts), at, side="right"))
             top_line = tokenized[row][0] if tokenized else first + row
-        blocks.append((len(labels), counts, indices, values))
+        values[total:total + block_values.size] = block_values
+        total += block_values.size
+        blocks.append((len(labels), counts, indices.astype(np.min_scalar_type(block_top))))
         labels += block_labels
     if not labels:
         raise DatasetFormatError("empty dataset")
-    if not top:
+    n, d = len(labels), max(top, min_width)
+    if not d:
         raise DatasetFormatError("no feature indices seen; d must be >= 1")
-    try:
-        features = np.zeros((len(labels), top), dtype=np.float64)
-    except (ValueError, MemoryError):
-        raise DatasetFormatError(f"feature index {top} needs an {len(labels)}-by-{top} matrix, "
-                                 "too large to allocate", top_line) from None
-    for row, counts, indices, values in blocks:
-        features[np.repeat(np.arange(row, row + counts.size), counts), indices - 1] = values
-    del blocks  # before Dataset's checks allocate
+    if total == n * d:
+        # A line holds at most as many entries as its largest index, so every
+        # line holds d of them: columns 1..d, as the indices strictly increase.
+        features = values[:total].reshape(n, d)  # colons in comments leave a spare tail
+    else:
+        try:
+            features = np.zeros((n, d), dtype=np.float64)
+        except (ValueError, MemoryError):
+            raise DatasetFormatError(f"feature index {top} needs an {n}-by-{d} matrix, "
+                                     "too large to allocate", top_line) from None
+        start = 0
+        for row, counts, indices in blocks:
+            rows = np.repeat(np.arange(row, row + counts.size), counts)
+            features[rows, indices - 1] = values[start:start + indices.size]
+            start += indices.size
+    del blocks, values  # before Dataset's checks allocate
     return Dataset(features, np.array(labels, dtype=np.int64))
 
 

@@ -10,7 +10,11 @@ previous iterate's codes and weights and held fixed inside the iteration;
 the search that scores the end of one iteration supplies it to the next.
 
 Test-time codes are the ridge codes ``(D'D + c1 I)^-1 D'x`` of the frozen
-dictionary; :func:`encode` computes them, and also starts the training codes.
+dictionary; :func:`encode` computes them.  :func:`initialize` calls it for
+the starting training codes.  The CLI's scorer calls it once on the d unit
+vectors: the codes are linear in ``x``, so those codes are the m-by-d
+projection, and every score ``w . P x`` is ``(P'w) . x`` without an m-by-n
+array.
 """
 
 from __future__ import annotations

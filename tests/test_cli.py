@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -11,9 +12,10 @@ import numpy as np
 import pytest
 
 from sparsetuple import sparse_coding
-from sparsetuple.cli import SWEEP_HEADER, _add_config_flags, build_parser, main
+from sparsetuple.cli import SWEEP_HEADER, _add_config_flags, _score, build_parser, main
 from sparsetuple.dataio import kfold_split, serialize_svmlight
-from sparsetuple.trainer import TrainConfig, load_model
+from sparsetuple.hyperloss import point_scores, predict
+from sparsetuple.trainer import TrainConfig, encode, fit, load_model
 
 from conftest import MODEL_V1, MODEL_V2, make_gaussian_dataset
 
@@ -280,13 +282,39 @@ class TestPredict:
         assert rc == 1
         assert "empty dataset" in capsys.readouterr().err
 
-    def test_dimension_mismatch_exits_2(self, trained, tmp_path):
+    def test_dimension_mismatch_exits_2(self, trained, tmp_path, capsys):
         _, _, model_path = trained
         other = tmp_path / "wide.svm"
         other.write_text("+1 1:1 9:1\n-1 2:1 9:0.5\n")
         rc = main(["predict", "--model", str(model_path), "--data", str(other),
                    "--out", str(tmp_path / "p.tsv")])
         assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: dimension mismatch: features (2, 9) vs dictionary with d=5\n")
+
+    def test_csv_of_another_width_exits_2(self, trained, tmp_path, capsys):
+        _, _, model_path = trained
+        other = tmp_path / "narrow.csv"
+        other.write_text("label,a,b\n+1,1,0.5\n-1,-1,-0.5\n")
+        rc = main(["predict", "--model", str(model_path), "--data", str(other),
+                   "--out", str(tmp_path / "p.tsv")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: dimension mismatch: features (2, 2) vs dictionary with d=5\n")
+
+    def test_svmlight_columns_zero_on_every_line_are_read_at_the_model_width(self, trained,
+                                                                             tmp_path):
+        # svmlight omits zeros, so columns 3-5 (d=5) leave no entry at all.
+        _, _, model_path = trained
+        outputs = []
+        for name, tail in (("short.svm", ""), ("full.svm", " 3:0 4:0 5:0")):
+            path = tmp_path / name
+            path.write_text(f"+1 1:1 2:0.5{tail}\n-1 1:-1 2:-0.5{tail}\n")
+            out = tmp_path / f"{name}.tsv"
+            assert main(["predict", "--model", str(model_path), "--data", str(path),
+                         "--out", str(out)]) == 0
+            outputs.append(out.read_text())
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize(
         "path, value",
@@ -338,6 +366,33 @@ class TestPredict:
         codes = np.linalg.solve(D.T @ D + document["config"]["c1"] * np.eye(m), D.T @ X.T)
         scores = [float(line.split("\t")[1]) for line in out.read_text().strip().split("\n")]
         np.testing.assert_allclose(scores, np.array(document["weights"]) @ codes, rtol=1e-12)
+
+
+class TestScore:
+    def test_scores_match_the_codes_times_the_weights(self):
+        ds = make_gaussian_dataset(seed=31, n=300, d=6, separation=0.3)
+        model = fit(ds, TrainConfig(iters=10, dict_size=9, seed=3))
+        features = make_gaussian_dataset(seed=32, n=2000, d=6, separation=0.3).features
+        codes = encode(model.dictionary, features, model.config)
+        expected = point_scores(model.weights, codes)
+        scores, labels = _score(model, features)
+        np.testing.assert_allclose(scores, expected, rtol=0, atol=1e-15 * np.abs(expected).max())
+        np.testing.assert_array_equal(labels, predict(model.weights, codes))
+
+    def test_peak_memory_is_under_a_tenth_of_the_codes(self):
+        # Scoring through v = P'w holds the m-by-d projection and a few
+        # n-vectors; the m-by-n codes would be 12.8 MB here.
+        m, n = 80, 20000
+        model = fit(make_gaussian_dataset(seed=33, n=200, d=20),
+                    TrainConfig(iters=2, dict_size=m, seed=4))
+        features = make_gaussian_dataset(seed=34, n=n, d=20).features
+        tracemalloc.start()
+        try:
+            _score(model, features)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < m * n * 8 / 10
 
 
 class TestEval:

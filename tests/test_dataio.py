@@ -57,6 +57,13 @@ class TestParseSvmlight:
         with pytest.raises(DatasetFormatError, match="malformed"):
             parse_svmlight("+1 one:2")
 
+    def test_min_width_adds_the_columns_no_entry_reaches(self):
+        ds = parse_svmlight("+1 1:1 2:0.5\n-1 1:-1 2:-0.5", min_width=4)
+        np.testing.assert_array_equal(ds.features, [[1, 0.5, 0, 0], [-1, -0.5, 0, 0]])
+        assert parse_svmlight("+1 2:1\n-1", min_width=1).d == 2
+        np.testing.assert_array_equal(parse_svmlight("+1\n-1", min_width=2).features,
+                                      np.zeros((2, 2)))
+
     def test_zero_based_index_rejected(self):
         with pytest.raises(DatasetFormatError, match=">= 1"):
             parse_svmlight("+1 0:1.0")
@@ -195,6 +202,7 @@ def _outcome(parse, text):
 @example("+1 1:1\n   \n-1 2:1")  # a whitespace-only line
 @example("+1 1: 2:3")  # the separators pair up, but a value is empty
 @example("+1 0_3:1\n-1 +3:1 4:2\n+1 03:1")  # index forms int() accepts
+@example("+1 1:1 2:2 # note 1:2\n-1 1:3 2:4")  # no entry omitted, more colons than entries
 def test_block_parser_matches_per_token_reference(text):
     # Blocks of 8 bytes hold one line, or a few short ones.
     with pytest.MonkeyPatch.context() as patch:
@@ -283,6 +291,47 @@ def test_parse_memory_grows_with_the_matrix_and_the_entries_not_the_text(entries
     lines_per_block = -(-dataio._BLOCK_BYTES // len(line))
     kept = 16 * entries * lines + 16 * lines + 1024 * -(-lines // lines_per_block)
     assert large_peak - small_peak <= large.features.nbytes - small.features.nbytes + kept
+
+
+@pytest.mark.parametrize("entries, lines", [(10, 8000), (300, 200)])
+def test_parse_of_lines_without_omitted_entries_keeps_two_bytes_an_entry(entries, lines):
+    # Every line holds every column, so the buffer the values are written into
+    # becomes the matrix.  Beyond it the parser keeps the column numbers, 1
+    # byte an entry (2 above 255 columns), under 16 a line and 1 KB a block.
+    line = b" ".join([b"-1"] + [b"%d:0.25" % j for j in range(1, entries + 1)]) + b"\n"
+    (small_peak, small), (large_peak, large) = (
+        _traced_parse(b"+1" + line[2:] + line * n) for n in (lines, 4 * lines))
+    added = large.n - small.n
+    lines_per_block = -(-dataio._BLOCK_BYTES // len(line))
+    kept = 2 * entries * added + 16 * added + 1024 * -(-added // lines_per_block)
+    assert large_peak - small_peak <= large.features.nbytes - small.features.nbytes + kept
+
+
+# Finite values without -0.0, which an omitted entry could not reproduce bit for bit.
+_CELL = st.one_of(st.just(0.0), st.floats(allow_nan=False, allow_infinity=False)).map(
+    lambda value: value + 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda d: st.lists(st.lists(_CELL, min_size=d, max_size=d), min_size=1, max_size=8)),
+    st.sampled_from([8, dataio._BLOCK_BYTES]))
+def test_every_entry_and_omitted_zeros_parse_to_the_same_matrix(rows, block_bytes):
+    # Written with every entry, the values fill the matrix in file order;
+    # with zeros omitted, they are scattered into it.
+    ds = Dataset(np.array(rows), np.resize([1, -1], len(rows)))
+    every = "".join(
+        " ".join(["+1" if label == 1 else "-1"]
+                 + [f"{j}:{value!r}" for j, value in enumerate(row.tolist(), start=1)]) + "\n"
+        for label, row in zip(ds.labels, ds.features)
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dataio, "_BLOCK_BYTES", block_bytes)
+        parsed = [parse_svmlight(text) for text in (every, serialize_svmlight(ds))]
+    for again in parsed:
+        assert again.features.shape == ds.features.shape
+        assert again.features.tobytes() == ds.features.tobytes()
+        np.testing.assert_array_equal(again.labels, ds.labels)
 
 
 class TestRoundTrip:
