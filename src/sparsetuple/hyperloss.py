@@ -171,9 +171,11 @@ def argmax_F_oracle(w, codes, y_true, kind: MeasureKind) -> ArgmaxResult:
 def upper_bound(w, codes, y_true, kind: MeasureKind) -> float:
     """Upper bound of the tuple loss of :func:`predict`: the maximum of F.
 
-    Public API: acceptance criterion 1 calls it and ``bench/tracing.py``
-    times it.  ``fit`` reads ``argmax_F_oracle(...).max_value`` instead, since it also
-    needs the maximizer from the same call.
+    Public API: acceptance criterion 1 calls it.  ``fit`` never does: it
+    reads ``argmax_F_oracle(...).max_value``, since it also needs the
+    maximizer from the same call.  So ``bench/tracing.py``'s
+    ``hyperloss.upper_bound_s``, which times this function during ``train``,
+    reads 0.
     """
     return argmax_F_oracle(w, codes, y_true, kind).max_value
 

@@ -199,10 +199,8 @@ def _column_blocks(n, *buffers):
 
 
 def _objective_entry(X, elements, codes, weights, labels, config: TrainConfig,
-                     residual=None, scratch=None):
+                     residual, scratch):
     """Objective components and the bound's argmax; the sums run blockwise in the buffers given."""
-    if residual is None:
-        residual, scratch = (np.empty((r, _BLOCK_COLUMNS)) for r in (len(X), len(codes)))
     reconstruction = sparsity = 0.0
     for block, r, a in _column_blocks(X.shape[1], residual, scratch):
         r = np.subtract(X[:, block], np.matmul(elements, codes[:, block], out=r), out=r)
@@ -298,13 +296,16 @@ def encode(dictionary: Dictionary, features, config: TrainConfig) -> np.ndarray:
 
     Returns the ridge codes ``(D'D + c1 I)^-1 D'x``, one column per row of
     ``features``: the minimizer of ``||x - D s||^2 + c1 ||s||^2``.  They are
-    dense, not exactly sparse, as are the codes ``fit`` trains; with
-    ``c1 = 0`` and a rank-deficient dictionary they are the least-squares
-    solution.  Fully deterministic.  The m-by-d projection
-    ``(D'D + c1 I)^-1 D'`` is solved for once and applied to the features, so
-    the only m-by-n array is the result; the projection is the dictionary's
-    size and outweighs it only when d > n, which is accepted rather than
-    branched on.
+    dense, not exactly sparse, as are the codes ``fit`` trains.  Fully
+    deterministic.  The m-by-d projection is one least-squares solve of
+    ``(D'D + c1 I) P = D'`` for every ``c1 >= 0``.  For ``c1`` above the
+    rounding level of ``D'D`` (about ``eps m ||D||^2``) that is the ridge
+    solve.  Below it, ``c1 = 0`` included, the solve's cutoff drops the
+    directions ``D`` does not span, so the codes are their ``c1 -> 0`` limit,
+    the minimum-norm least-squares codes ``pinv(D) x``.  The projection is
+    solved for once and applied to the features, so the only m-by-n array is
+    the result; the projection is the dictionary's size and outweighs it
+    only when d > n, which is accepted rather than branched on.
     """
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != dictionary.d:
@@ -313,12 +314,7 @@ def encode(dictionary: Dictionary, features, config: TrainConfig) -> np.ndarray:
         )
     elements = dictionary.elements
     gram = elements.T @ elements + config.c1 * np.eye(dictionary.m)
-    try:
-        projection = np.linalg.solve(gram, elements.T)
-    except np.linalg.LinAlgError:
-        # c1 = 0 with rank-deficient elements; fall back to least squares.
-        projection = np.linalg.lstsq(gram, elements.T, rcond=None)[0]
-    return projection @ X.T
+    return np.linalg.lstsq(gram, elements.T, rcond=None)[0] @ X.T
 
 
 def config_document(config: TrainConfig) -> dict:

@@ -12,9 +12,12 @@ import numpy as np
 import pytest
 
 from sparsetuple import sparse_coding
-from sparsetuple.cli import SWEEP_HEADER, _add_config_flags, _score, build_parser, main
+from sparsetuple.cli import (
+    SWEEP_HEADER, _add_config_flags, _score, build_parser, cross_validate, main,
+)
 from sparsetuple.dataio import kfold_split, serialize_svmlight
 from sparsetuple.hyperloss import point_scores, predict
+from sparsetuple.measures import auc_from_scores
 from sparsetuple.trainer import TrainConfig, encode, fit, load_model
 
 from conftest import MODEL_V1, MODEL_V2, make_gaussian_dataset
@@ -394,6 +397,15 @@ class TestScore:
             tracemalloc.stop()
         assert peak < m * n * 8 / 10
 
+    def test_zero_c1_separates_the_gate_family(self):
+        # c1 = 0 leaves D'D of the 10-by-20 dictionary singular up to rounding
+        train, held_out = make_gaussian_dataset(), make_gaussian_dataset(seed=99)
+        aucs = [auc_from_scores(held_out.labels,
+                                _score(fit(train, TrainConfig(c1=0.0, seed=seed)),
+                                       held_out.features)[0])
+                for seed in range(5)]
+        assert min(aucs) >= 0.95, aucs
+
 
 class TestEval:
     def write_files(self, tmp_path, y, scores, labels):
@@ -599,6 +611,26 @@ class TestCv:
         assert main(self.cv_flags(data_path, parallel)
                     + ["--omit-timing", "--jobs", "2"]) == 0
         assert serial.read_bytes() == parallel.read_bytes()
+
+    def test_workers_started_without_fork_match_in_process_run(self, data_file, monkeypatch):
+        # Where fork is missing, workers start from the platform default
+        # context, which must be spawn here: get_context(None) is fork on Linux.
+        import multiprocessing
+        get_context, methods = multiprocessing.get_context, []
+
+        def default_is_spawn(method=None):
+            methods.append(method)
+            return get_context(method or "spawn")
+
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.setattr(multiprocessing, "get_context", default_is_spawn)
+        _, ds = data_file
+        config = TrainConfig(iters=5, dict_size=6, seed=7)
+        serial, parallel = (json.dumps(cross_validate(ds, config, k=4, jobs=jobs,
+                                                      include_timing=False), indent=2)
+                            for jobs in (1, 2))
+        assert methods == [None]
+        assert serial == parallel
 
     def test_omit_timing_report_is_the_same_for_every_jobs_value(self, data_file, tmp_path):
         # One CPU-count default, one in-process run, and more workers than folds.

@@ -23,7 +23,7 @@ def trace_reconstruction(D, x, s):
     """Reconstruction term of the trainer's objective for one point."""
     entry, _ = _objective_entry(
         x[:, None], D, s[:, None], np.zeros(D.shape[1]), np.ones(1, dtype=int),
-        TrainConfig(),
+        TrainConfig(), np.empty((D.shape[0], 1)), np.empty((D.shape[1], 1)),
     )
     return entry.reconstruction
 

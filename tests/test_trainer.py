@@ -308,16 +308,15 @@ class TestFit:
         np.testing.assert_allclose(stepped, expected, rtol=1e-14,
                                    atol=1e-14 * np.abs(expected).max())
 
-    @pytest.mark.parametrize("buffers", ["given", "allocated"])
-    def test_blocked_objective_sums_match_the_whole_array_sums(self, buffers):
+    def test_blocked_objective_sums_match_the_whole_array_sums(self):
         rng = np.random.default_rng(17)
         d, m, n = 6, 9, 5 * trainer._BLOCK_COLUMNS // 2
         X, D, S = rng.normal(size=(d, n)), rng.normal(size=(d, m)), rng.normal(size=(m, n))
         ds = make_gaussian_dataset(n=n, d=d)
         width = trainer._BLOCK_COLUMNS
-        given = (np.empty((d, width)), np.empty((m, width))) if buffers == "given" else ()
         entry, _ = trainer._objective_entry(X, D, S, rng.normal(size=m), ds.labels,
-                                            TrainConfig(), *given)
+                                            TrainConfig(), np.empty((d, width)),
+                                            np.empty((m, width)))
         np.testing.assert_allclose(entry.reconstruction, np.sum((X - D @ S) ** 2), rtol=1e-12)
         np.testing.assert_allclose(entry.sparsity, np.abs(S).sum(), rtol=1e-12)
 
@@ -387,10 +386,23 @@ class TestEncode:
             scale = sum(np.linalg.norm(term) for term in terms)
             assert np.linalg.norm(sum(terms)) <= 1e-10 * scale
 
+    @pytest.mark.parametrize("c1", [0.0, 1e-17])
+    def test_codes_below_rounding_level_are_the_minimum_norm_codes(self, c1):
+        # D'D of a 10-by-20 dictionary has rank 10 but is singular only up
+        # to rounding, so an LU solve meets no zero pivot and returns noise;
+        # the codes must be the c1 -> 0 limit pinv(D) x
+        rng = np.random.default_rng(59)
+        D = rng.normal(size=(10, 20))
+        X = rng.normal(size=(10, 7))
+        codes = encode(Dictionary(D, 1.0, np.zeros(20)), X.T, TrainConfig(c1=c1))
+        expected = np.linalg.pinv(D) @ X
+        assert np.linalg.norm(codes - expected) <= 1e-12 * np.linalg.norm(expected)
+
     def test_singular_fallback_reconstructs_exactly(self):
-        # c1 = 0 with a duplicated column makes D'D singular, so the solve
-        # raises and least squares takes over; 0/1 entries keep the
-        # elimination exact, so the solve raises on any LAPACK
+        # c1 = 0 with a duplicated column and a zero row makes D'D exactly
+        # singular (an LU solve raises on it; 0/1 entries keep the
+        # elimination exact on any LAPACK); the least-squares codes still
+        # reconstruct every point inside the span of D
         D = np.array([[1.0, 0.0, 1.0, 1.0], [0.0, 1.0, 0.0, 1.0], [0.0, 0.0, 0.0, 0.0]])
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(D.T @ D, D.T @ np.ones(3))
