@@ -60,12 +60,26 @@ MEASURES = {
 SWEEP_HEADER = ("c1", "c2", "c3", *(f"{name}_median" for name in MEASURES), "status")
 
 
+_LINES_PER_WRITE = 4096  # predictions formatted and written at a time
+
+
+class _SizedReader(io.BufferedReader):
+    """A binary file whose ``len`` is its size in bytes."""
+
+    # Only bench/tracing.py reads it: it records len() of parse_svmlight's argument.
+    def __len__(self) -> int:
+        return os.fstat(self.fileno()).st_size
+
+
 def _load_dataset(path: str, fmt: str = "auto", min_width: int = 0) -> Dataset:
-    """The dataset at ``path``; svmlight input gets at least ``min_width`` columns."""
-    data = Path(path).read_bytes()
-    if fmt == "csv" or (fmt == "auto" and path.endswith(".csv")):
-        return parse_csv(data)
-    return parse_svmlight(data, min_width)
+    """The dataset at ``path``, read as a stream; svmlight gets at least ``min_width`` columns.
+
+    svmlight is read twice, so a file that cannot seek (a pipe) is read into memory first.
+    """
+    with _SizedReader(io.FileIO(path)) as file:
+        if fmt == "csv" or (fmt == "auto" and path.endswith(".csv")):
+            return parse_csv(file)
+        return parse_svmlight(file if file.seekable() else file.read(), min_width)
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -88,11 +102,13 @@ def _config_from_args(args: argparse.Namespace) -> TrainConfig:
     return TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
 
 
-def _write_text(path: str | None, text: str) -> None:
+def _write_text(path: str | None, pieces) -> None:
+    """Write the text ``pieces`` in order to ``path``, or to stdout for None or '-'."""
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as out:
+            out.writelines(pieces)
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
@@ -137,13 +153,21 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     # Columns that are zero on every line leave no svmlight entry.
     dataset = _load_dataset(args.data, args.format, model.dictionary.d)
     scores, labels = _score(model, dataset.features)
-    rows = [f"{i}\t{s!r}\t{y:+d}" for i, (s, y) in enumerate(zip(scores.tolist(), labels.tolist()))]
-    _write_text(args.out, "\n".join(rows) + "\n")
+    _write_text(args.out, _prediction_lines(scores, labels))
     return 0
 
 
+def _prediction_lines(scores: np.ndarray, labels: np.ndarray):
+    """The ``id<TAB>score<TAB>label`` lines, ``_LINES_PER_WRITE`` to a piece of text."""
+    for start in range(0, scores.size, _LINES_PER_WRITE):
+        stop = start + _LINES_PER_WRITE
+        rows = zip(range(start, stop), scores[start:stop].tolist(), labels[start:stop].tolist())
+        yield "".join(f"{i}\t{s!r}\t{y:+d}\n" for i, s, y in rows)
+
+
 def _cmd_eval(args: argparse.Namespace) -> int:
-    scores, labels = parse_predictions(Path(args.predictions).read_bytes())
+    with open(args.predictions, "rb") as file:
+        scores, labels = parse_predictions(file)
     truth = _load_dataset(args.truth, args.format)
     if truth.n != labels.size:
         raise ValueError(
@@ -345,7 +369,7 @@ def _cmd_cv(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         include_timing=not args.omit_timing,
     )
-    _write_text(args.out, json.dumps(report, indent=2) + "\n")
+    _write_text(args.out, (json.dumps(report, indent=2) + "\n",))
     return 0
 
 
@@ -390,7 +414,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         medians = ["" if stats is None else repr(stats["median"])
                    for stats in report["summary"].values()]
         writer.writerow((repr(c1), repr(c2), repr(c3), *medians, "ok"))
-    _write_text(args.out, buffer.getvalue())
+    _write_text(args.out, (buffer.getvalue(),))
     return 0
 
 

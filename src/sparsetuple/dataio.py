@@ -11,6 +11,10 @@ and the first fault in file order is reported with its physical line, a
 byte that is not UTF-8 included.  CSV and prediction lines end at LF, CRLF
 or CR; svmlight lines end at LF, and a CR there is whitespace.
 
+Each parser reads bytes, a str (encoded first) or a binary stream as a
+stream: CSV and predictions a line at a time, svmlight in two passes, so an
+svmlight stream must be seekable.
+
 svmlight indices and values follow Python's ``int()`` and ``float()``
 syntax.  Input is read and converted in blocks of whole lines of about
 16 KB.  A canonical block, single-spaced ASCII ``label index:value ...``
@@ -101,10 +105,16 @@ def _parse_label(token: str, line_no: int) -> int:
         raise DatasetFormatError(f"label {token!r} not in {{+1, -1}}", line_no) from None
 
 
+def _stream(data):
+    """``data`` as a binary stream: bytes and str (encoded as UTF-8) are wrapped."""
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    return io.BytesIO(data) if isinstance(data, bytes) else data
+
+
 def _text_lines(data):
-    """``(line number, text)`` of each line, ended by LF, CRLF or CR, each decoded on its own."""
-    chunks = io.BytesIO(data.encode("utf-8") if isinstance(data, str) else data)  # end at LF
-    lines = chain.from_iterable(chunk.splitlines(keepends=True) for chunk in chunks)
+    """``(line number, text)`` of each line, ended by LF, CRLF or CR, read and decoded alone."""
+    lines = chain.from_iterable(chunk.splitlines(keepends=True) for chunk in _stream(data))
     for line_no, line in enumerate(lines, start=1):
         yield line_no, _decode(line, line_no).rstrip("\r\n")
 
@@ -164,13 +174,12 @@ def _tokenize(text: str, first: int) -> list:
     return lines
 
 
-def _blocks(data: bytes):
-    """Each block as canonical text: ``label( index:value)*`` lines, single-spaced.
+def _blocks(stream):
+    """Each block of ``stream`` as canonical text: ``label( index:value)*`` lines, single-spaced.
 
     Yields the text, the number of its first line and, for a block that had
     to be tokenized, its ``(line number, tokens)`` pairs, else None.
     """
-    stream = io.BytesIO(data)
     first = 1
     while lines := stream.readlines(_BLOCK_BYTES):
         block = b"".join(lines)
@@ -218,30 +227,42 @@ def _convert_block(text: str):
     return labels, counts, indices, values
 
 
+def _entry_line(counts: np.ndarray, at: int, first: int, tokenized) -> int:
+    """The line number of entry ``at`` of a block that ``_blocks`` yielded."""
+    row = int(np.searchsorted(np.cumsum(counts), at, side="right"))
+    return tokenized[row][0] if tokenized else first + row
+
+
 def parse_svmlight(data, min_width: int = 0) -> Dataset:
-    """Parse svmlight text (UTF-8 bytes, or a str, encoded first) into a dense Dataset.
+    """Parse svmlight text (UTF-8 bytes, a str, or a seekable binary stream) into a Dataset.
 
     The matrix has ``max(largest index, min_width)`` columns: a column that is
-    zero on every line leaves no entry.  Entry values go, in file order, into
-    one buffer sized by the colon count (an entry holds one colon), which is
-    the matrix when no line omits an entry; otherwise they are scattered into
-    a zero matrix by the column numbers each block keeps.
+    zero on every line leaves no entry.  A first pass counts the colons in
+    64 KB reads, and a second writes entry values, in file order, into one
+    buffer of that size (an entry holds one colon), which is the matrix when
+    no line omits an entry; otherwise they are scattered into a zero matrix
+    by the column numbers each block keeps.  An entry beyond the count, in a
+    file that grew between the passes, is reported at its line.
     """
-    if isinstance(data, str):
-        data = data.encode("utf-8")
-    values = np.empty(data.count(b":"), dtype=np.float64)
+    stream = _stream(data)
+    colons = sum(chunk.count(b":") for chunk in iter(lambda: stream.read(1 << 16), b""))
+    stream.seek(0)
+    values = np.empty(colons, dtype=np.float64)
     labels, blocks = [], []
     total = top = top_line = 0  # entries so far; the largest index, and its first line
-    for text, first, tokenized in _blocks(data):
+    for text, first, tokenized in _blocks(stream):
         converted = _convert_block(text)
         if converted is None:
             _raise_first_error(tokenized or _tokenize(text, first))
         block_labels, counts, indices, block_values = converted
+        if total + block_values.size > colons:
+            raise DatasetFormatError("the file grew while it was read: more entries than the "
+                                     "first pass counted",
+                                     _entry_line(counts, colons - total, first, tokenized))
         block_top = int(indices.max(initial=0))
         if block_top > top:
-            top, at = block_top, int(np.argmax(indices))
-            row = int(np.searchsorted(np.cumsum(counts), at, side="right"))
-            top_line = tokenized[row][0] if tokenized else first + row
+            top = block_top
+            top_line = _entry_line(counts, int(np.argmax(indices)), first, tokenized)
         values[total:total + block_values.size] = block_values
         total += block_values.size
         blocks.append((len(labels), counts, indices.astype(np.min_scalar_type(block_top))))

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 from dataclasses import fields
 from pathlib import Path
@@ -13,12 +14,12 @@ import pytest
 
 from sparsetuple import sparse_coding
 from sparsetuple.cli import (
-    SWEEP_HEADER, _add_config_flags, _score, build_parser, cross_validate, main,
+    _LINES_PER_WRITE, SWEEP_HEADER, _add_config_flags, _score, build_parser, cross_validate, main,
 )
-from sparsetuple.dataio import kfold_split, serialize_svmlight
+from sparsetuple.dataio import kfold_split, parse_svmlight, serialize_svmlight
 from sparsetuple.hyperloss import point_scores, predict
 from sparsetuple.measures import auc_from_scores
-from sparsetuple.trainer import TrainConfig, encode, fit, load_model
+from sparsetuple.trainer import TrainConfig, encode, fit, load_model, save_model
 
 from conftest import MODEL_V1, MODEL_V2, make_gaussian_dataset
 
@@ -369,6 +370,90 @@ class TestPredict:
         codes = np.linalg.solve(D.T @ D + document["config"]["c1"] * np.eye(m), D.T @ X.T)
         scores = [float(line.split("\t")[1]) for line in out.read_text().strip().split("\n")]
         np.testing.assert_allclose(scores, np.array(document["weights"]) @ codes, rtol=1e-12)
+
+
+@pytest.fixture(scope="module")
+def gate_model(tmp_path_factory):
+    """A model file trained on the gate data, and the svmlight text of 2,000 held-out points."""
+    path = tmp_path_factory.mktemp("gate") / "model.json"
+    path.write_bytes(save_model(fit(make_gaussian_dataset(), TrainConfig(iters=5, seed=7))))
+    return path, serialize_svmlight(make_gaussian_dataset(seed=99, n=2000))
+
+
+class TestPredictStreams:
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+    def test_fifo_data_predicts_as_the_regular_file_does(self, gate_model, tmp_path):
+        # The text is larger than a pipe's buffer, so the writer waits on the reader.
+        model_path, text = gate_model
+        regular, fifo = tmp_path / "heldout.svm", tmp_path / "heldout.fifo"
+        regular.write_text(text)
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)
+        writer.start()
+        outputs = []
+        for data in (fifo, regular):
+            out = tmp_path / f"{data.name}.tsv"
+            assert main(["predict", "--model", str(model_path), "--data", str(data),
+                         "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("out", ["file", "-"])
+    @pytest.mark.parametrize("n", [_LINES_PER_WRITE - 1, _LINES_PER_WRITE, _LINES_PER_WRITE + 1])
+    def test_lines_written_in_blocks_match_every_row_formatted_at_once(self, trained, tmp_path,
+                                                                       capsys, n, out):
+        _, _, model_path = trained
+        data = tmp_path / "heldout.svm"
+        data.write_text(serialize_svmlight(make_gaussian_dataset(seed=41, n=n, d=5)))
+        scores, labels = _score(load_model(model_path.read_bytes()),
+                                parse_svmlight(data.read_bytes()).features)
+        expected = "".join(f"{i}\t{s!r}\t{y:+d}\n"
+                           for i, (s, y) in enumerate(zip(scores.tolist(), labels.tolist())))
+        target = str(tmp_path / "preds.tsv") if out == "file" else "-"
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model_path), "--data", str(data),
+                     "--out", target]) == 0
+        written = capsys.readouterr().out if out == "-" else Path(target).read_text()
+        assert written == expected
+
+
+class TestInputMemory:
+    # The held-out file is read in blocks, so each command's traced peak stays
+    # near the n-by-d matrix; holding the file's 3.5 MB of text would not.
+    n, d = 8000, 20
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("memory")
+        model, data, predictions = (directory / name
+                                    for name in ("model.json", "heldout.svm", "preds.tsv"))
+        model.write_bytes(save_model(fit(make_gaussian_dataset(seed=51, d=self.d),
+                                         TrainConfig(iters=2, seed=4))))
+        data.write_text(serialize_svmlight(make_gaussian_dataset(seed=52, n=self.n, d=self.d)))
+        assert main(["predict", "--model", str(model), "--data", str(data),
+                     "--out", str(predictions)]) == 0
+        return model, data, predictions
+
+    def traced_peak(self, argv) -> int:
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_predict_peak_is_under_twice_the_matrix(self, files, tmp_path):
+        model, data, _ = files
+        peak = self.traced_peak(["predict", "--model", str(model), "--data", str(data),
+                                 "--out", str(tmp_path / "preds.tsv")])
+        assert peak < 2 * self.n * self.d * 8
+
+    def test_eval_peak_is_under_twice_the_matrix(self, files):
+        _, data, predictions = files
+        peak = self.traced_peak(["eval", "--predictions", str(predictions), "--truth", str(data)])
+        assert peak < 2 * self.n * self.d * 8
 
 
 class TestScore:

@@ -1,3 +1,4 @@
+import io
 import tracemalloc
 
 import numpy as np
@@ -217,10 +218,43 @@ def test_bytes_str_and_crlf_parse_alike(lines, block_bytes):
     text = "\n".join(lines)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(dataio, "_BLOCK_BYTES", block_bytes)
+        forms = (text, text.encode(), text.replace("\n", "\r\n"),
+                 text.replace("\n", "\r\n").encode())
+        # and each encoded form as a buffered stream, as a file is read
         outcomes = {_outcome(parse_svmlight, form) for form in (
-            text, text.encode(), text.replace("\n", "\r\n"), text.replace("\n", "\r\n").encode()
-        )}
+            *forms, *(io.BufferedReader(io.BytesIO(form.encode())) for form in forms[::2]))}
     assert len(outcomes) == 1
+
+
+class _RewindChanges(io.BytesIO):
+    """A stream whose text becomes ``changed`` when it is rewound to its start."""
+
+    def __init__(self, text: bytes, changed: bytes):
+        super().__init__(text)
+        self.changed = changed
+
+    def seek(self, offset, whence=io.SEEK_SET):
+        if (offset, whence) == (0, io.SEEK_SET):
+            super().seek(0)
+            self.truncate()
+            self.write(self.changed)
+        return super().seek(offset, whence)
+
+
+def test_input_that_grows_between_the_two_passes_is_reported_at_the_first_extra_entry():
+    text = b"+1 1:1 2:2\n-1 1:3 2:4\n"
+    with pytest.raises(DatasetFormatError) as info:
+        parse_svmlight(_RewindChanges(text, text + b"+1 1:5 2:6\n"))
+    assert info.value.line == 3
+    assert "grew while it was read" in str(info.value)
+
+
+def test_input_that_shrinks_between_the_two_passes_parses_what_the_second_pass_reads():
+    # Fewer entries than colons leave a spare tail, as colons in comments do.
+    text = b"+1 1:1 2:2\n-1 1:3 2:4\n"
+    ds = parse_svmlight(_RewindChanges(text, text[:11]))
+    np.testing.assert_array_equal(ds.features, [[1.0, 2.0]])
+    np.testing.assert_array_equal(ds.labels, [1])
 
 
 _GAP = st.sampled_from([" ", "  ", "\t", " \t ", "\t\t"])
