@@ -183,13 +183,7 @@ def _five_number(values: list[float]) -> dict | None:
     if not values:
         return None
     q = np.percentile(np.array(values, dtype=np.float64), [0, 25, 50, 75, 100])
-    return {
-        "min": float(q[0]),
-        "p25": float(q[1]),
-        "median": float(q[2]),
-        "p75": float(q[3]),
-        "max": float(q[4]),
-    }
+    return dict(zip(("min", "p25", "median", "p75", "max"), q.tolist()))
 
 
 def _available_cpus() -> int:

@@ -129,9 +129,10 @@ _PLAIN = bytes(sorted(set(range(0x21, 0x7F)) - set(b":#")))
 _NOT_SEPARATOR = bytes(sorted(set(range(256)) - set(b" :\n")))
 
 
-def _raise_first_error(lines) -> None:
-    """Raise the first error the per-token rules find in ``(line number, tokens)`` pairs."""
-    for line_no, tokens in lines:
+def _raise_first_error(numbers, text: str) -> None:
+    """Raise the first error per-token rules find in canonical rows; row i is line numbers[i]."""
+    for line_no, line in zip(numbers, text.split("\n")):
+        tokens = line.split()
         _parse_label(tokens[0], line_no)
         previous = 0
         for token in tokens[1:]:
@@ -164,39 +165,39 @@ def _pairs_up(block: bytes, ignored: bytes) -> bool:
     return not block.translate(None, ignored).replace(b" :", b"").strip(b"\n")
 
 
-def _tokenize(text: str, first: int) -> list:
-    """``(line number, tokens)`` of each line of ``text`` that holds a token."""
-    lines = []
+def _tokenize(text: str, first: int) -> tuple[str, list]:
+    """``text`` as canonical rows, one per line that holds a token, and the line number of each."""
+    rows, numbers = [], []
     for line_no, line in enumerate(text.split("\n"), start=first):
         tokens = line.split("#", 1)[0].split()
         if tokens:
-            lines.append((line_no, tokens))
-    return lines
+            rows.append(" ".join(tokens))
+            numbers.append(line_no)
+    return "\n".join(rows), numbers
 
 
 def _blocks(stream):
-    """Each block of ``stream`` as canonical text: ``label( index:value)*`` lines, single-spaced.
+    """Each block of ``stream`` as canonical text, and the line number of each of its rows.
 
-    Yields the text, the number of its first line and, for a block that had
-    to be tokenized, its ``(line number, tokens)`` pairs, else None.
+    Canonical text holds single-spaced ``label( index:value)*`` rows.  A
+    canonical block passes as it is; any other block is tokenized.
     """
     first = 1
     while lines := stream.readlines(_BLOCK_BYTES):
         block = b"".join(lines)
         if _pairs_up(block, _PLAIN) and b"\n\n" not in block and block[:1] != b"\n":
-            yield block.rstrip(b"\n").decode("ascii"), first, None
+            yield block.rstrip(b"\n").decode("ascii"), range(first, first + len(lines))
         else:
             fault = None
             try:
                 text = _decode(block, first)
             except DatasetFormatError as exc:  # a fault on an earlier line is reported first
                 fault, text = exc, b"".join(lines[:exc.line - first]).decode("utf-8")
-            tokenized = _tokenize(text, first)
-            if tokenized:
-                text = "\n".join(" ".join(tokens) for _, tokens in tokenized)
+            text, numbers = _tokenize(text, first)
+            if numbers:
                 if not _pairs_up(text.encode("utf-8"), _NOT_SEPARATOR):
-                    _raise_first_error(tokenized)  # a token without a colon, or with two
-                yield text, first, tokenized
+                    _raise_first_error(numbers, text)  # a token without a colon, or with two
+                yield text, numbers
             if fault:
                 raise fault
         first += len(lines)
@@ -227,10 +228,9 @@ def _convert_block(text: str):
     return labels, counts, indices, values
 
 
-def _entry_line(counts: np.ndarray, at: int, first: int, tokenized) -> int:
-    """The line number of entry ``at`` of a block that ``_blocks`` yielded."""
-    row = int(np.searchsorted(np.cumsum(counts), at, side="right"))
-    return tokenized[row][0] if tokenized else first + row
+def _entry_line(counts: np.ndarray, at: int, numbers) -> int:
+    """The line number of entry ``at`` of a block whose rows hold ``counts`` entries."""
+    return numbers[int(np.searchsorted(np.cumsum(counts), at, side="right"))]
 
 
 def parse_svmlight(data, min_width: int = 0) -> Dataset:
@@ -250,19 +250,19 @@ def parse_svmlight(data, min_width: int = 0) -> Dataset:
     values = np.empty(colons, dtype=np.float64)
     labels, blocks = [], []
     total = top = top_line = 0  # entries so far; the largest index, and its first line
-    for text, first, tokenized in _blocks(stream):
+    for text, numbers in _blocks(stream):
         converted = _convert_block(text)
         if converted is None:
-            _raise_first_error(tokenized or _tokenize(text, first))
+            _raise_first_error(numbers, text)
         block_labels, counts, indices, block_values = converted
         if total + block_values.size > colons:
             raise DatasetFormatError("the file grew while it was read: more entries than the "
                                      "first pass counted",
-                                     _entry_line(counts, colons - total, first, tokenized))
+                                     _entry_line(counts, colons - total, numbers))
         block_top = int(indices.max(initial=0))
         if block_top > top:
             top = block_top
-            top_line = _entry_line(counts, int(np.argmax(indices)), first, tokenized)
+            top_line = _entry_line(counts, int(np.argmax(indices)), numbers)
         values[total:total + block_values.size] = block_values
         total += block_values.size
         blocks.append((len(labels), counts, indices.astype(np.min_scalar_type(block_top))))
@@ -298,18 +298,11 @@ def serialize_svmlight(dataset: Dataset) -> str:
     explicit ``d:0.0`` entry on the first line whenever column d is zero
     everywhere, so parse(serialize(ds)) reproduces the exact matrix shape.
     """
-    lines = []
-    entry_lists = []
-    for i in range(dataset.n):
-        row = dataset.features[i]
-        nz = np.flatnonzero(row != 0.0)
-        entry_lists.append([(int(j) + 1, float(row[j])) for j in nz])
-    if not np.any(dataset.features[:, -1] != 0.0):
-        entry_lists[0].append((dataset.d, 0.0))
-    for i, entries in enumerate(entry_lists):
-        label = "+1" if dataset.labels[i] == 1 else "-1"
-        parts = [label] + [f"{index}:{value!r}" for index, value in entries]
-        lines.append(" ".join(parts))
+    lines = [" ".join(["+1" if label == 1 else "-1",
+                       *(f"{j}:{value!r}" for j, value in enumerate(row, start=1) if value)])
+             for label, row in zip(dataset.labels.tolist(), dataset.features.tolist())]
+    if not dataset.features[:, -1].any():
+        lines[0] += f" {dataset.d}:0.0"
     return "\n".join(lines) + "\n"
 
 

@@ -43,29 +43,28 @@ class ArgmaxResult:
     """Outcome of maximizing F over the candidate tuple space.
 
     ``maximizers`` holds one deterministic representative from the oracle,
-    or the full tie set from an exhaustive search; ``counts`` is the
-    ``(fn, fp)`` pair of the first maximizer.
+    or the full tie set from an exhaustive search.
     """
 
     max_value: float
     maximizers: tuple[np.ndarray, ...]
-    counts: tuple[int, int]
 
 
-def _as_codes(codes) -> np.ndarray:
-    arr = np.asarray(codes, dtype=np.float64)
-    if arr.ndim != 2:
+def _weights_and_codes(w, codes) -> tuple[np.ndarray, np.ndarray]:
+    """``w`` and ``codes`` as float arrays, checked: one code per column, one weight per row."""
+    w = np.asarray(w, dtype=np.float64)
+    codes = np.asarray(codes, dtype=np.float64)
+    if codes.ndim != 2:
         raise ValueError("codes must be an m-by-n matrix with one code per column")
-    return arr
+    if w.shape != (codes.shape[0],):
+        raise ValueError(f"dimension mismatch: w {w.shape} vs codes {codes.shape}")
+    return w, codes
 
 
 def point_scores(w, codes) -> np.ndarray:
     """Per-point scores ``q_i = w . s_i`` for codes stored columnwise."""
-    w = np.asarray(w, dtype=np.float64)
-    arr = _as_codes(codes)
-    if w.shape != (arr.shape[0],):
-        raise ValueError(f"dimension mismatch: w {w.shape} vs codes {arr.shape}")
-    return w @ arr
+    w, codes = _weights_and_codes(w, codes)
+    return w @ codes
 
 
 def predict(w, codes) -> np.ndarray:
@@ -165,7 +164,7 @@ def argmax_F_oracle(w, codes, y_true, kind: MeasureKind) -> ArgmaxResult:
     representative = y.copy()
     representative[pos_sorted[:best_a]] = -1
     representative[neg_sorted[:best_b]] = 1
-    return ArgmaxResult(best_value, (representative,), (best_a, best_b))
+    return ArgmaxResult(best_value, (representative,))
 
 
 def upper_bound(w, codes, y_true, kind: MeasureKind) -> float:
@@ -201,8 +200,5 @@ def loss_gradient_w(w, codes, coefficients, c2: float) -> np.ndarray:
 
     ``coefficients`` are the :func:`flip_coefficients` of the frozen tie set.
     """
-    w = np.asarray(w, dtype=np.float64)
-    arr = _as_codes(codes)
-    if w.shape != (arr.shape[0],):
-        raise ValueError(f"dimension mismatch: w {w.shape} vs codes {arr.shape}")
-    return c2 * w + arr @ coefficients
+    w, codes = _weights_and_codes(w, codes)
+    return c2 * w + codes @ coefficients

@@ -147,12 +147,8 @@ def _midranks(values: np.ndarray) -> np.ndarray:
     return mid[inverse]
 
 
-def auc_from_scores(y_true, scores) -> float:
-    """Fraction of (positive, negative) pairs ranked correctly by the scores.
-
-    Ties count 0.5, so this is the usual rank-based AUC and is invariant
-    under any strictly increasing transform of the scores.
-    """
+def _truth_and_scores(kind: MeasureKind, y_true, scores):
+    """Checked truth and finite scores of its length, and the positive count; needs both classes."""
     y = as_label_array(y_true)
     s = np.asarray(scores, dtype=np.float64)
     if s.shape != y.shape:
@@ -160,11 +156,20 @@ def auc_from_scores(y_true, scores) -> float:
     if not np.all(np.isfinite(s)):
         raise ValueError("scores must be finite")
     n_pos = int(np.count_nonzero(y == 1))
-    n_neg = y.size - n_pos
-    require_both_classes(MeasureKind.AUC, n_pos, n_neg)
+    require_both_classes(kind, n_pos, y.size - n_pos)
+    return y, s, n_pos
+
+
+def auc_from_scores(y_true, scores) -> float:
+    """Fraction of (positive, negative) pairs ranked correctly by the scores.
+
+    Ties count 0.5, so this is the usual rank-based AUC and is invariant
+    under any strictly increasing transform of the scores.
+    """
+    y, s, n_pos = _truth_and_scores(MeasureKind.AUC, y_true, scores)
     ranks = _midranks(s)
     rank_sum = float(ranks[y == 1].sum())
-    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * (y.size - n_pos))
 
 
 def prbep_from_scores(y_true, scores) -> float:
@@ -174,14 +179,7 @@ def prbep_from_scores(y_true, scores) -> float:
     which forces precision == recall.  Ties at the cutoff are broken by
     stable input order, so the result is deterministic.
     """
-    y = as_label_array(y_true)
-    s = np.asarray(scores, dtype=np.float64)
-    if s.shape != y.shape:
-        raise ValueError(f"length mismatch: {y.size} labels vs {s.size} scores")
-    if not np.all(np.isfinite(s)):
-        raise ValueError("scores must be finite")
-    n_pos = int(np.count_nonzero(y == 1))
-    require_both_classes(MeasureKind.PRBEP, n_pos, y.size - n_pos)
+    y, s, n_pos = _truth_and_scores(MeasureKind.PRBEP, y_true, scores)
     order = np.argsort(-s, kind="stable")
     top = order[:n_pos]
     return float(np.count_nonzero(y[top] == 1)) / n_pos

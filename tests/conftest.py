@@ -92,8 +92,7 @@ def argmax_F_bruteforce(
     max_value = float(values.max())
     selected = np.flatnonzero(values == max_value)
     maximizers = tuple(candidates[i].astype(np.int64) for i in selected)
-    counts = (int(fn[selected[0]]), int(fp[selected[0]]))
-    return ArgmaxResult(max_value, maximizers, counts)
+    return ArgmaxResult(max_value, maximizers)
 
 
 def lagrangian_gradient(X, S, alphas, elements) -> np.ndarray:

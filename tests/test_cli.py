@@ -770,6 +770,16 @@ class TestCv:
 
 
 class TestSweep:
+    def test_malformed_grid_exits_2(self, data_file, tmp_path, capsys):
+        data_path, _ = data_file
+        out = tmp_path / "sweep.csv"
+        rc = main(["sweep", "--data", str(data_path), "--out", str(out), "--c1-grid", "a",
+                   "--c2-grid", "0.01", "--c3-grid", "1.0", "--k", "3"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: malformed grid 'a'; expected comma-separated numbers\n")
+        assert not out.exists()
+
     def test_grid_rows_and_header(self, data_file, tmp_path):
         data_path, _ = data_file
         out = tmp_path / "sweep.csv"

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import tracemalloc
 
@@ -15,6 +16,8 @@ from sparsetuple.dataio import (
     parse_svmlight,
     serialize_svmlight,
 )
+
+from conftest import make_gaussian_dataset
 
 
 class TestParseSvmlight:
@@ -95,6 +98,14 @@ class TestParseSvmlight:
         with pytest.raises(DatasetFormatError) as info:
             parse_svmlight(text)
         assert str(info.value) == message and info.value.line == 1
+
+    # ' :' is a pair of the canonical form, so the first text is a canonical
+    # block whose second row starts with a space; its label is ':1', as when tokenized.
+    @pytest.mark.parametrize("text", ["+1 1:1\n :1 2:3\n", "+1 1:1\n\t:1 2:3\n"])
+    def test_row_starting_with_a_space_reports_its_first_token(self, text):
+        with pytest.raises(DatasetFormatError) as info:
+            parse_svmlight(text)
+        assert str(info.value) == "line 2: label ':1' not in {+1, -1}"
 
 
 _REFERENCE_LABELS = {"+1": 1, "1": 1, "-1": -1}
@@ -393,6 +404,19 @@ class TestRoundTrip:
         again = parse_svmlight(serialize_svmlight(ds))
         np.testing.assert_array_equal(again.features, ds.features)
 
+    def test_exact_text(self):
+        # -0.0 and 0.0 leave no entry; the all-zero last column is pinned on line 1
+        features = np.array([[-0.0, 1.5, 0.0], [0.0, 0.0, 0.0], [1e-05, -0.25, 0.0]])
+        text = serialize_svmlight(Dataset(features, np.array([1, -1, -1])))
+        assert text == "+1 2:1.5 3:0.0\n-1\n-1 1:1e-05 2:-0.25\n"
+
+    def test_gate_text_is_pinned(self):
+        # The acceptance gate and the benchmark's gate workload train on this text.
+        text = serialize_svmlight(make_gaussian_dataset(seed=12345, n=200, d=10, separation=1.5))
+        assert len(text) == 43_399
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "de21fcda2a01c2b5479843820337bf1fd7cb4ca74f6eb9a8168aa2f7e2eb832d")
+
 
 class TestParseCsv:
     def test_basic(self):
@@ -409,6 +433,10 @@ class TestParseCsv:
     def test_header_only(self):
         with pytest.raises(DatasetFormatError, match="empty dataset"):
             parse_csv("label,f1\n")
+
+    def test_empty_input(self):
+        with pytest.raises(DatasetFormatError, match="empty dataset"):
+            parse_csv("")
 
     def test_bad_label(self):
         with pytest.raises(DatasetFormatError, match="not in"):
@@ -447,6 +475,7 @@ class TestParseCsv:
         (b'label,f1\n+1,"1.0\n"\n-1,abc\n', 4, "non-numeric feature cell 'abc' in column 'f1'"),
         (b'label,f1\r\n+1,"1.0\r\n"\r\n-1,2\r\n+1,1.0,2\r\n', 5, "expected 2 cells, found 3"),
         (b"label,f1\n+1,1.0\r-1,abc\r\n", 3, "non-numeric feature cell 'abc' in column 'f1'"),
+        (b"label,a\n+1,inf\n", 2, "non-finite feature cell in column 'a'"),
     ])
     def test_first_fault_in_file_order(self, data, line, message):
         with pytest.raises(DatasetFormatError) as info:

@@ -185,6 +185,11 @@ class TestAucFromScores:
         with pytest.raises(DegenerateClassError):
             auc_from_scores([1, 1], [0.5, 0.2])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        with pytest.raises(ValueError, match="scores must be finite"):
+            auc_from_scores([1, -1], [0.5, bad])
+
 
 class TestPrbepFromScores:
     def test_perfectly_separated(self):
@@ -212,3 +217,8 @@ class TestPrbepFromScores:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length mismatch"):
             prbep_from_scores([1, -1], [0.5])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        with pytest.raises(ValueError, match="scores must be finite"):
+            prbep_from_scores([1, -1], [bad, 0.5])

@@ -130,6 +130,17 @@ class TestInitialize:
             reconstructed = dic.elements @ codes[:, i]
             np.testing.assert_allclose(reconstructed, features[i], atol=1e-6)
 
+    def test_sampled_zero_rows_are_replaced_before_the_rescale(self):
+        # m = n samples every row, so the three zero rows must each become a
+        # random column before the rescale would divide by a zero norm
+        features = np.zeros((4, 3))
+        features[2] = [1.0, -2.0, 0.5]
+        ds = Dataset(features, np.array([1, -1, 1, -1]))
+        cfg = TrainConfig(dict_size=4, norm_cap=2.5)
+        dic, codes, _ = initialize(ds, cfg, np.random.default_rng(0))
+        np.testing.assert_allclose(np.sum(dic.elements**2, axis=0), 2.5, atol=1e-12)
+        assert np.all(np.isfinite(codes))
+
     def test_oversized_dictionary_samples_with_replacement(self):
         ds = small_dataset(n=4, d=3)
         cfg = TrainConfig(dict_size=9)
@@ -522,6 +533,22 @@ class TestSerialization:
         blob = save_model(self.make_model())
         with pytest.raises(ModelFormatError, match="not a valid model"):
             load_model(blob[: len(blob) // 2])
+
+    def test_non_object_document_rejected(self):
+        with pytest.raises(ModelFormatError, match="must be a JSON object"):
+            load_model(b"[1, 2, 3]")
+
+    def test_alphas_length_mismatch(self):
+        document = json.loads(save_model(self.make_model()).decode())
+        document["alphas"] = document["alphas"][:-1]
+        with pytest.raises(ModelFormatError, match="alphas length 3 does not match m=4"):
+            load_model(json.dumps(document).encode())
+
+    def test_trace_entry_with_other_keys_rejected(self):
+        document = json.loads(save_model(self.make_model()).decode())
+        document["trace"][1]["loss"] = document["trace"][1].pop("surrogate")
+        with pytest.raises(ModelFormatError, match="trace entry 1 must have keys"):
+            load_model(json.dumps(document).encode())
 
     def test_weights_length_mismatch(self):
         document = json.loads(save_model(self.make_model()).decode())
