@@ -31,6 +31,8 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
+import random
 from dataclasses import dataclass
 from itertools import chain, repeat
 
@@ -380,18 +382,24 @@ def parse_predictions(data) -> tuple[np.ndarray, np.ndarray]:
 def kfold_split(n: int, k: int, seed: int, stratified: bool = False, labels=None) -> np.ndarray:
     """Deterministic k-fold partition of n points: the fold number of each point.
 
-    Plain mode deals a seeded shuffle round-robin, so fold sizes differ by
-    at most one.  Stratified mode deals each class in turn with a continuing
-    fold cursor, balancing both total fold sizes and per-class counts to
-    within one.  Identical (n, k, seed, stratified, labels) always produce
-    an identical partition.  Fold f tests the points
-    ``np.flatnonzero(folds == f)`` and trains on the rest.
+    Plain mode deals ``list(range(n))``, shuffled by
+    ``random.Random(seed).shuffle``, round-robin, so fold sizes differ by at
+    most one.  Stratified mode shuffles each class's members in turn with
+    the same generator and deals them with a continuing fold cursor,
+    balancing both total fold sizes and per-class counts to within one.
+    ``seed`` is a non-negative integer, a numpy integer included.
+    Identical (n, k, seed, stratified, labels) always produce an identical
+    partition for a given Python ``random`` algorithm.  Fold f tests the
+    points ``np.flatnonzero(folds == f)`` and trains on the rest.
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     if k > n:
         raise ValueError(f"k={k} exceeds the number of points n={n}")
-    rng = np.random.default_rng(seed)
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    rng = random.Random(seed)
     folds = np.empty(n, dtype=np.int64)
     if stratified:
         if labels is None:
@@ -401,9 +409,12 @@ def kfold_split(n: int, k: int, seed: int, stratified: bool = False, labels=None
             raise ValueError(f"length mismatch: n={n} vs {y.size} labels")
         cursor = 0
         for cls in (1, -1):
-            members = np.flatnonzero(y == cls)
-            folds[rng.permutation(members)] = (cursor + np.arange(members.size)) % k
-            cursor += members.size
+            members = np.flatnonzero(y == cls).tolist()
+            rng.shuffle(members)
+            folds[members] = (cursor + np.arange(len(members))) % k
+            cursor += len(members)
     else:
-        folds[rng.permutation(n)] = np.arange(n) % k
+        order = list(range(n))
+        rng.shuffle(order)
+        folds[order] = np.arange(n) % k
     return folds

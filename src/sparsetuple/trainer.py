@@ -20,6 +20,7 @@ array.
 from __future__ import annotations
 
 import json
+import random
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -103,6 +104,8 @@ class TrainConfig:
             raise ValueError("dict_size must be >= 1")
         if self.norm_cap <= 0:
             raise ValueError("norm_cap must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def resolved_dict_size(self, n: int, d: int) -> int:
         return self.dict_size if self.dict_size is not None else min(2 * d, n)
@@ -144,28 +147,29 @@ class Model:
         self.trace = tuple(self.trace)
 
 
-def initialize(
-    data: Dataset, config: TrainConfig, rng: np.random.Generator
-) -> tuple[Dictionary, np.ndarray, np.ndarray]:
+def initialize(data: Dataset, config: TrainConfig) -> tuple[Dictionary, np.ndarray, np.ndarray]:
     """Starting point of a run: sampled dictionary, the :func:`encode` codes, small weights.
 
-    Dictionary elements are data points sampled without replacement (with
-    replacement only if the dictionary is larger than the dataset), each
-    rescaled to squared norm ``norm_cap``.  Weights are uniform noise, never
-    exactly zero-filled, so the first argmax has a generic score to break
-    the all-tuples tie.
+    Every draw comes from ``random.Random(config.seed)``, in this order:
+    dictionary elements are data points sampled without replacement
+    (``sample``; with replacement, ``choices``, only if the dictionary is
+    larger than the dataset), each rescaled to squared norm ``norm_cap``; a
+    sampled all-zero point is replaced by d ``gauss`` draws; the weights are
+    ``uniform`` noise, never exactly zero-filled, so the first argmax has a
+    generic score to break the all-tuples tie.
     """
     n, d = data.features.shape
     m = config.resolved_dict_size(n, d)
-    chosen = rng.choice(n, size=m, replace=bool(m > n))
+    rng = random.Random(config.seed)
+    chosen = rng.choices(range(n), k=m) if m > n else rng.sample(range(n), m)
     columns = data.features[chosen].T.copy()
     norms = np.linalg.norm(columns, axis=0)
     for j in np.flatnonzero(norms == 0.0):
-        columns[:, j] = rng.standard_normal(d)
+        columns[:, j] = [rng.gauss(0.0, 1.0) for _ in range(d)]
         norms[j] = np.linalg.norm(columns[:, j])
     columns *= np.sqrt(config.norm_cap) / norms
     dictionary = Dictionary(columns, config.norm_cap, np.full(m, ALPHA_INIT))
-    weights = rng.uniform(-WEIGHT_INIT_SCALE, WEIGHT_INIT_SCALE, size=m)
+    weights = np.array([rng.uniform(-WEIGHT_INIT_SCALE, WEIGHT_INIT_SCALE) for _ in range(m)])
     return dictionary, encode(dictionary, data.features, config), weights
 
 
@@ -227,7 +231,9 @@ def fit(data: Dataset, config: TrainConfig, observer=None) -> Model:
     iteration)`` with stage ``dictionary`` once the iteration's dictionary is
     in place, then ``codes`` after the code step, ``weights`` after the
     weight step and the argmax that scores the iterate, and ``multipliers``
-    after the ascent.  Fixed seeds make the run bitwise reproducible.
+    after the ascent.  :func:`initialize` makes every random draw, so a
+    fixed seed makes the run bitwise reproducible for a given numpy build
+    and Python ``random`` algorithm.
     Single-class labels raise :class:`DegenerateClassError` for PRBEP and
     AUC from the first argmax, before any update.
 
@@ -240,8 +246,7 @@ def fit(data: Dataset, config: TrainConfig, observer=None) -> Model:
     y = data.labels
     m = config.resolved_dict_size(data.n, data.d)
     config = replace(config, dict_size=m)
-    rng = np.random.default_rng(config.seed)
-    dictionary, codes, weights = initialize(data, config, rng)
+    dictionary, codes, weights = initialize(data, config)
     alphas = dictionary.multipliers
     X = data.features.T
     elements = sparse_coding.solve_dictionary(X, codes, alphas)

@@ -123,6 +123,19 @@ class TestConfigFlags:
         assert capsys.readouterr().err == f"error: jobs must be >= 1, got {jobs}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "cv", "sweep"])
+    def test_negative_seed_exits_2(self, data_file, tmp_path, capsys, command):
+        # random.Random(-s) would silently repeat the stream of seed s.
+        data_path, _ = data_file
+        out = tmp_path / "out"
+        argv = [command, "--data", str(data_path), "--out", str(out), "--seed", "-1",
+                "--iters", "2", "--dict-size", "3"]
+        if command == "sweep":
+            argv += ["--c1-grid", "0.1", "--c2-grid", "0.01", "--c3-grid", "1.0"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not out.exists()
+
     def test_cv_and_sweep_document_jobs_alike(self):
         choices = build_parser()._subparsers._group_actions[0].choices
         helps = {command: next(action.help for action in choices[command]._actions
@@ -155,6 +168,27 @@ def test_multiprocessing_is_loaded_only_to_start_workers(data_file, tmp_path):
         capture_output=True, text=True, check=True,
     ).stdout.split()
     assert printed == ["False", "False", "True"]
+
+
+def test_training_commands_leave_numpy_random_unloaded(data_file, tmp_path):
+    # Seeded draws come from the stdlib generator, so train and in-process cv
+    # import neither numpy.random nor, through it, secrets and OpenSSL.
+    data_path, _ = data_file
+    script = (
+        "import sys\n"
+        "from sparsetuple.cli import main\n"
+        "flags = ['--data', sys.argv[1], '--iters', '2', '--dict-size', '3']\n"
+        "print(main(['train', *flags, '--out', sys.argv[2]]),\n"
+        "      main(['cv', *flags, '--k', '2', '--jobs', '1', '--out', sys.argv[3]]))\n"
+        "print(sorted({'numpy.random', 'secrets', '_hashlib'} & set(sys.modules)))\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    printed = subprocess.run(
+        [sys.executable, "-c", script, str(data_path), str(tmp_path / "m.json"),
+         str(tmp_path / "report.json")], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert printed == "0 0\n[]\n"
 
 
 class TestTrain:
@@ -842,7 +876,7 @@ class TestSweep:
         assert [row.rsplit(",", 1)[1] for row in text.strip().split("\n")[1:]] == [
             "ok", "failed", "ok"]
         assert err == ("error: c1=0.1 c2=0.01 c3=10000.0: NumericalDivergenceError: "
-                       "numerical overflow at iteration 18\n")
+                       "numerical overflow at iteration 9\n")
 
     @pytest.mark.parametrize("k, message", [
         ("1", "k must be >= 2, got 1"), ("61", "k=61 exceeds the number of points n=60")])

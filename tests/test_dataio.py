@@ -1,5 +1,6 @@
 import hashlib
 import io
+import random
 import tracemalloc
 
 import numpy as np
@@ -537,24 +538,42 @@ class TestKfoldSplit:
            st.integers(0, 2**32 - 1))
     def test_matches_per_point_dealing(self, n, k, seed, stratified, label_seed):
         # The per-point loop the whole-array assignment replaced, pinned on
-        # random permutations: same folds for every point.
+        # random shuffles: same folds for every point.
         k = min(k, n)
         labels = np.random.default_rng(label_seed).choice([-1, 1], size=n)
-        rng = np.random.default_rng(seed)
+        rng = random.Random(seed)
         expected = np.empty(n, dtype=np.int64)
         if stratified:
             cursor = 0
             for cls in (1, -1):
-                members = np.flatnonzero(labels == cls)
-                for offset, index in enumerate(rng.permutation(members)):
+                members = np.flatnonzero(labels == cls).tolist()
+                rng.shuffle(members)
+                for offset, index in enumerate(members):
                     expected[index] = (cursor + offset) % k
-                cursor += members.size
+                cursor += len(members)
         else:
-            for position, index in enumerate(rng.permutation(n)):
+            order = list(range(n))
+            rng.shuffle(order)
+            for position, index in enumerate(order):
                 expected[index] = position % k
         folds = kfold_split(n, k, seed, stratified=stratified, labels=labels)
         assert folds.dtype == np.int64
         np.testing.assert_array_equal(folds, expected)
+
+    def test_pinned_stream(self):
+        # random.Random(5).shuffle, dealt round-robin; a Python release that
+        # changes shuffle changes every cv partition and fails here first.
+        assert kfold_split(12, 3, 5).tolist() == [1, 1, 1, 2, 1, 0, 0, 0, 2, 2, 0, 2]
+        labels = np.array([1] * 5 + [-1] * 7)
+        assert kfold_split(12, 3, 5, stratified=True, labels=labels).tolist() == [
+            0, 1, 0, 2, 1, 2, 1, 2, 0, 0, 1, 2]
+
+    def test_seed_is_a_non_negative_integer(self):
+        np.testing.assert_array_equal(kfold_split(10, 2, np.int64(3)), kfold_split(10, 2, 3))
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            kfold_split(10, 2, seed=-1)
+        with pytest.raises(TypeError):
+            kfold_split(10, 2, seed=3.0)
 
     def test_errors(self):
         with pytest.raises(ValueError, match="exceeds"):

@@ -78,6 +78,7 @@ class TestTrainConfig:
             {"iters": 3.0},
             {"dict_size": 4.0},
             {"seed": "7"},
+            {"seed": -1},
             {"iters": True},
             {"eta": float("nan")},
             {"norm_cap": float("inf")},
@@ -105,16 +106,16 @@ class TestTrainConfig:
 class TestInitialize:
     def test_columns_hit_norm_cap_exactly(self):
         ds = small_dataset()
-        cfg = TrainConfig(dict_size=6, norm_cap=2.5)
-        dic, _, _ = initialize(ds, cfg, np.random.default_rng(1))
+        cfg = TrainConfig(dict_size=6, norm_cap=2.5, seed=1)
+        dic, _, _ = initialize(ds, cfg)
         norms_sq = np.sum(dic.elements**2, axis=0)
         np.testing.assert_allclose(norms_sq, 2.5, atol=1e-12)
 
     def test_same_seed_same_init(self):
         ds = small_dataset()
-        cfg = TrainConfig(dict_size=6)
-        a = initialize(ds, cfg, np.random.default_rng(3))
-        b = initialize(ds, cfg, np.random.default_rng(3))
+        cfg = TrainConfig(dict_size=6, seed=3)
+        a = initialize(ds, cfg)
+        b = initialize(ds, cfg)
         np.testing.assert_array_equal(a[0].elements, b[0].elements)
         np.testing.assert_array_equal(a[1], b[1])
         np.testing.assert_array_equal(a[2], b[2])
@@ -124,8 +125,8 @@ class TestInitialize:
         # near-zero ridge brings its own code back to a scaled one-hot
         features = 3.0 * np.eye(4)
         ds = Dataset(features, np.array([1, 1, -1, -1]))
-        cfg = TrainConfig(dict_size=4, c1=1e-12)
-        dic, codes, _ = initialize(ds, cfg, np.random.default_rng(5))
+        cfg = TrainConfig(dict_size=4, c1=1e-12, seed=5)
+        dic, codes, _ = initialize(ds, cfg)
         for i in range(4):
             reconstructed = dic.elements @ codes[:, i]
             np.testing.assert_allclose(reconstructed, features[i], atol=1e-6)
@@ -137,22 +138,42 @@ class TestInitialize:
         features[2] = [1.0, -2.0, 0.5]
         ds = Dataset(features, np.array([1, -1, 1, -1]))
         cfg = TrainConfig(dict_size=4, norm_cap=2.5)
-        dic, codes, _ = initialize(ds, cfg, np.random.default_rng(0))
+        dic, codes, _ = initialize(ds, cfg)
         np.testing.assert_allclose(np.sum(dic.elements**2, axis=0), 2.5, atol=1e-12)
         assert np.all(np.isfinite(codes))
 
     def test_oversized_dictionary_samples_with_replacement(self):
         ds = small_dataset(n=4, d=3)
-        cfg = TrainConfig(dict_size=9)
-        dic, _, _ = initialize(ds, cfg, np.random.default_rng(7))
+        cfg = TrainConfig(dict_size=9, seed=7)
+        dic, _, _ = initialize(ds, cfg)
         assert dic.m == 9
+
+    def test_pinned_stream(self):
+        # random.Random(7): sample (choices when m > n), then uniform weights.
+        # A Python release that changes either fails here first.  No row is
+        # zero, so no gauss draw is made: its values depend on the libm.
+        features = np.array([[i + 1.0, (i * i) % 5 - 2.0] for i in range(8)])
+        ds = Dataset(features, np.array([1, -1] * 4))
+
+        def sampled(m, rows):
+            dic, _, weights = initialize(ds, TrainConfig(dict_size=m, seed=7))
+            chosen = features[rows]
+            np.testing.assert_allclose(
+                dic.elements, (chosen / np.linalg.norm(chosen, axis=1, keepdims=True)).T,
+                rtol=1e-15)
+            return weights.tolist()
+
+        sampled(11, [2, 1, 5, 0, 4, 2, 0, 4, 0, 3, 0])
+        assert sampled(5, [5, 1, 3, 0, 4]) == [
+            0.006425485839826167, -0.00811739916120635, 0.0016557601180671021,
+            0.008194081262862045, -0.0057060363832867654]
 
     def test_starting_codes_are_the_test_time_codes(self):
         # training and test codes come from one map: the starting codes are
         # encode of the training features under the initial dictionary
         ds = small_dataset(n=60, d=7)
-        cfg = TrainConfig(dict_size=9, c1=0.3)
-        dic, codes, _ = initialize(ds, cfg, np.random.default_rng(2))
+        cfg = TrainConfig(dict_size=9, c1=0.3, seed=2)
+        dic, codes, _ = initialize(ds, cfg)
         np.testing.assert_array_equal(codes, encode(dic, ds.features, cfg))
 
 
@@ -213,7 +234,7 @@ class TestFit:
             model.dictionary.elements, model_flipped.dictionary.elements
         )
         # weights decay geometrically under the complexity term alone
-        _, _, w0 = initialize(ds, cfg, np.random.default_rng(4))
+        _, _, w0 = initialize(ds, cfg)
         expected = w0 * (1.0 - cfg.eta * cfg.c2) ** cfg.iters
         np.testing.assert_allclose(model.weights, expected, rtol=1e-12)
 
@@ -307,7 +328,7 @@ class TestFit:
         config = TrainConfig(iters=1, dict_size=9, seed=5)
         _, stepped = fit_with_codes(ds, config)
 
-        dictionary, codes, weights = initialize(ds, config, np.random.default_rng(config.seed))
+        dictionary, codes, weights = initialize(ds, config)
         X = ds.features.T
         elements = solve_dictionary(X, codes, dictionary.multipliers)
         result = hyperloss.argmax_F_oracle(weights, codes, ds.labels, config.measure)
