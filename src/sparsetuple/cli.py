@@ -179,11 +179,15 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _five_number(values: list[float]) -> dict | None:
-    if not values:
-        return None
-    q = np.percentile(np.array(values, dtype=np.float64), [0, 25, 50, 75, 100])
-    return dict(zip(("min", "p25", "median", "p75", "max"), q.tolist()))
+def _summary(rows: list[dict]) -> dict:
+    """Each measure's min, quartiles and max over the fold rows that score it, or None."""
+    summary = dict.fromkeys(MEASURES)
+    for name in MEASURES:
+        values = [row[name] for row in rows if row[name] is not None]
+        if values:
+            q = np.percentile(np.array(values, dtype=np.float64), [0, 25, 50, 75, 100])
+            summary[name] = dict(zip(("min", "p25", "median", "p75", "max"), q.tolist()))
+    return summary
 
 
 def _available_cpus() -> int:
@@ -200,9 +204,7 @@ def _cv_plan(dataset: Dataset, config: TrainConfig, k: int,
     # Resolve the dictionary size against the full dataset so the echoed
     # config is self-describing and every fold trains the same model shape.
     config = replace(config, dict_size=config.resolved_dict_size(dataset.n, dataset.d))
-    folds = kfold_split(dataset.n, k, config.seed, stratified=stratified,
-                        labels=dataset.labels if stratified else None)
-    return config, folds
+    return config, kfold_split(dataset.n, k, config.seed, dataset.labels if stratified else None)
 
 
 def _run_fold(dataset: Dataset | None, folds: np.ndarray | None, fold: int,
@@ -253,30 +255,9 @@ def _init_fold_worker(dataset: Dataset, folds: np.ndarray) -> None:
     _worker_folds = (dataset, folds)
 
 
-def _cv_report(config: TrainConfig, k: int, stratified: bool, rows: list[dict],
-               include_timing: bool) -> dict:
-    if not include_timing:
-        for row in rows:
-            row["seconds"] = None
-    summary = {
-        name: _five_number([row[name] for row in rows if row[name] is not None])
-        for name in MEASURES
-    }
-    return {
-        "k": k,
-        "seed": config.seed,
-        "stratified": stratified,
-        "measure": config.measure.value,
-        "config": config_document(config),
-        "folds": rows,
-        "summary": summary,
-    }
-
-
-def _cross_validate_configs(dataset: Dataset, folds: np.ndarray, configs: list[TrainConfig],
-                            k: int, stratified: bool, jobs: int | None,
-                            include_timing: bool) -> list[dict | Exception]:
-    """The cv report of each config, or the exception of its lowest failing fold.
+def _fold_rows(dataset: Dataset, folds: np.ndarray, configs: list[TrainConfig],
+               jobs: int | None) -> list[list[dict] | Exception]:
+    """The fold rows of each config, in fold order, or the exception of its lowest failing fold.
 
     Trains every ``(fold, config)`` task, fold f with seed ``config.seed + f``,
     on ``min(jobs, tasks)`` worker processes; with one, in this process.
@@ -287,6 +268,7 @@ def _cross_validate_configs(dataset: Dataset, folds: np.ndarray, configs: list[T
     have at least two to train.  Workers receive ``dataset`` and ``folds``
     once, at start-up.
     """
+    k = int(folds.max()) + 1
     tasks = [(fold, replace(config, seed=config.seed + fold))
              for config in configs for fold in range(k)]
     if jobs is None:
@@ -316,12 +298,8 @@ def _cross_validate_configs(dataset: Dataset, folds: np.ndarray, configs: list[T
             outcomes = [future.exception() or future.result() for future in futures]
         finally:
             pool.shutdown(cancel_futures=True)
-    reports = []
-    for i, config in enumerate(configs):
-        rows = outcomes[i * k:(i + 1) * k]
-        failure = next((row for row in rows if isinstance(row, Exception)), None)
-        reports.append(failure or _cv_report(config, k, stratified, rows, include_timing))
-    return reports
+    groups = (outcomes[start:start + k] for start in range(0, len(outcomes), k))
+    return [next((row for row in rows if isinstance(row, Exception)), rows) for rows in groups]
 
 
 def cross_validate(
@@ -334,22 +312,35 @@ def cross_validate(
 ) -> dict:
     """k-fold cross-validation report, deterministic for a fixed seed.
 
-    Fold f trains on the other folds with seed ``config.seed + f`` and is
-    evaluated on its own points.  The folds run on ``min(jobs, k)`` worker
-    processes; ``jobs`` defaults to the number of CPUs this process may use,
-    capped at ``k // 2`` so that each worker trains at least two folds, and
-    ``jobs=1`` trains them one after another in this process.  The
-    report does not depend on ``jobs``: rows come back in fold order, and a
-    failing fold raises the exception of the lowest failing fold once every
-    fold has trained.  ``include_timing=False`` nulls the wall-clock fields
-    so two identical runs produce identical bytes.
+    The folds are ``kfold_split(dataset.n, k, config.seed)``, given the
+    dataset's labels when ``stratified``.  Fold f trains on the other folds
+    with seed ``config.seed + f`` and is evaluated on its own points; the
+    summary gives each measure's five numbers over the folds that score it.
+    The folds run on ``min(jobs, k)`` worker processes; ``jobs`` defaults to
+    the number of CPUs this process may use, capped at ``k // 2`` so that
+    each worker trains at least two folds, and ``jobs=1`` trains them one
+    after another in this process.  The report does not depend on ``jobs``:
+    rows come back in fold order, and a failing fold raises the exception
+    of the lowest failing fold once every fold has trained.
+    ``include_timing=False`` nulls the wall-clock fields so two identical
+    runs produce identical bytes.
     """
     config, folds = _cv_plan(dataset, config, k, stratified)
-    (report,) = _cross_validate_configs(dataset, folds, [config], k, stratified, jobs,
-                                        include_timing)
-    if isinstance(report, Exception):
-        raise report
-    return report
+    (rows,) = _fold_rows(dataset, folds, [config], jobs)
+    if isinstance(rows, Exception):
+        raise rows
+    if not include_timing:
+        for row in rows:
+            row["seconds"] = None
+    return {
+        "k": k,
+        "seed": config.seed,
+        "stratified": stratified,
+        "measure": config.measure.value,
+        "config": config_document(config),
+        "folds": rows,
+        "summary": _summary(rows),
+    }
 
 
 def _cmd_cv(args: argparse.Namespace) -> int:
@@ -392,21 +383,20 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             cells.append(replace(config, c1=c1, c2=c2, c3=c3))
         except ValueError as exc:
             cells.append(exc)
-    reports = iter(_cross_validate_configs(
-        dataset, folds, [cell for cell in cells if isinstance(cell, TrainConfig)], args.k,
-        args.stratified, args.jobs, include_timing=False))
+    configs = [cell for cell in cells if isinstance(cell, TrainConfig)]
+    results = iter(_fold_rows(dataset, folds, configs, args.jobs))
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(SWEEP_HEADER)
     for (c1, c2, c3), cell in zip(grid, cells):
-        report = cell if isinstance(cell, Exception) else next(reports)
-        if isinstance(report, Exception):
+        rows = cell if isinstance(cell, Exception) else next(results)
+        if isinstance(rows, Exception):
             print(f"error: c1={c1!r} c2={c2!r} c3={c3!r}: "
-                  f"{type(report).__name__}: {report}", file=sys.stderr)
+                  f"{type(rows).__name__}: {rows}", file=sys.stderr)
             writer.writerow((repr(c1), repr(c2), repr(c3), *("" for _ in MEASURES), "failed"))
             continue
         medians = ["" if stats is None else repr(stats["median"])
-                   for stats in report["summary"].values()]
+                   for stats in _summary(rows).values()]
         writer.writerow((repr(c1), repr(c2), repr(c3), *medians, "ok"))
     _write_text(args.out, (buffer.getvalue(),))
     return 0

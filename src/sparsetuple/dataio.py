@@ -379,18 +379,18 @@ def parse_predictions(data) -> tuple[np.ndarray, np.ndarray]:
     return np.array(scores, dtype=np.float64), np.array(labels, dtype=np.int64)
 
 
-def kfold_split(n: int, k: int, seed: int, stratified: bool = False, labels=None) -> np.ndarray:
+def kfold_split(n: int, k: int, seed: int, labels=None) -> np.ndarray:
     """Deterministic k-fold partition of n points: the fold number of each point.
 
-    Plain mode deals ``list(range(n))``, shuffled by
-    ``random.Random(seed).shuffle``, round-robin, so fold sizes differ by at
-    most one.  Stratified mode shuffles each class's members in turn with
-    the same generator and deals them with a continuing fold cursor,
-    balancing both total fold sizes and per-class counts to within one.
-    ``seed`` is a non-negative integer, a numpy integer included.
-    Identical (n, k, seed, stratified, labels) always produce an identical
-    partition for a given Python ``random`` algorithm.  Fold f tests the
-    points ``np.flatnonzero(folds == f)`` and trains on the rest.
+    The points form one group, ``range(n)``, or with ``labels`` (stratified
+    splitting) two: the +1 class, then the -1 class.  One
+    ``random.Random(seed)`` shuffles each group's members in turn, and they
+    are dealt round-robin with a fold cursor that carries on from group to
+    group.  Fold sizes differ by at most one, and so, with ``labels``, do
+    the per-class counts.  ``seed`` is a non-negative integer, a numpy
+    integer included.  Identical (n, k, seed, labels) always produce an
+    identical partition for a given Python ``random`` algorithm.  Fold f
+    tests the points ``np.flatnonzero(folds == f)`` and trains on the rest.
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
@@ -399,22 +399,18 @@ def kfold_split(n: int, k: int, seed: int, stratified: bool = False, labels=None
     seed = operator.index(seed)
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    rng = random.Random(seed)
-    folds = np.empty(n, dtype=np.int64)
-    if stratified:
-        if labels is None:
-            raise ValueError("stratified splitting requires labels")
+    groups = [np.arange(n)]
+    if labels is not None:
         y = as_label_array(labels)
         if y.size != n:
             raise ValueError(f"length mismatch: n={n} vs {y.size} labels")
-        cursor = 0
-        for cls in (1, -1):
-            members = np.flatnonzero(y == cls).tolist()
-            rng.shuffle(members)
-            folds[members] = (cursor + np.arange(len(members))) % k
-            cursor += len(members)
-    else:
-        order = list(range(n))
-        rng.shuffle(order)
-        folds[order] = np.arange(n) % k
+        groups = [np.flatnonzero(y == cls) for cls in (1, -1)]
+    rng = random.Random(seed)
+    folds = np.empty(n, dtype=np.int64)
+    cursor = 0
+    for group in groups:
+        members = group.tolist()
+        rng.shuffle(members)
+        folds[members] = (cursor + np.arange(len(members))) % k
+        cursor += len(members)
     return folds

@@ -100,7 +100,7 @@ def _solve_gram(system, rhs) -> np.ndarray:
     except np.linalg.LinAlgError:
         raise SingularGramError(
             "code Gram matrix plus multiplier diagonal is singular; "
-            "raise the multiplier floor or reduce the dictionary size"
+            "use fewer dictionary elements or a sparsity weight c1 > 0"
         ) from None
 
 

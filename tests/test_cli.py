@@ -228,6 +228,21 @@ class TestTrain:
         assert rc == 2
         assert "degenerate class" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", ["0", "1", "2"])
+    def test_singular_gram_exits_2_naming_its_remedies(self, tmp_path, capsys, seed):
+        # Two distinct points, three copies each: at c1 = 0 the codes of six
+        # elements leave their Gram matrix singular.  Either remedy trains.
+        path = tmp_path / "two_points.svm"
+        path.write_text("+1 1:1 2:0.5\n" * 3 + "-1 1:-1 2:-0.5\n" * 3)
+        argv = ["train", "--data", str(path), "--out", str(tmp_path / "m.json"), "--iters", "20",
+                "--seed", seed]
+        assert main(argv + ["--dict-size", "6", "--c1", "0"]) == 2
+        assert capsys.readouterr().err == (
+            "error: code Gram matrix plus multiplier diagonal is singular; "
+            "use fewer dictionary elements or a sparsity weight c1 > 0\n")
+        assert main(argv + ["--dict-size", "2", "--c1", "0"]) == 0
+        assert main(argv + ["--dict-size", "6"]) == 0
+
     def test_parse_error_exits_1(self, tmp_path, capsys):
         path = tmp_path / "bad.svm"
         path.write_text("+1 2:1 1:1\n")
@@ -709,12 +724,14 @@ class TestCv:
             assert list(row) == ["fold", "seed", "test_indices", "n_test", "f1", "prbep", "auc",
                                  "seconds", "status", "note"]
 
-    def test_partition_matches_kfold_split(self, data_file, tmp_path):
+    @pytest.mark.parametrize("stratified", [False, True], ids=["plain", "stratified"])
+    def test_partition_matches_kfold_split(self, data_file, tmp_path, stratified):
         data_path, ds = data_file
         out = tmp_path / "report.json"
-        assert main(self.cv_flags(data_path, out)) == 0
+        assert main(self.cv_flags(data_path, out) + ["--stratified"] * stratified) == 0
         report = json.loads(out.read_text())
-        plan = kfold_split(ds.n, 5, seed=11)
+        assert report["stratified"] is stratified
+        plan = kfold_split(ds.n, 5, seed=11, labels=ds.labels if stratified else None)
         for fold, row in enumerate(report["folds"]):
             assert row["test_indices"] == np.flatnonzero(plan == fold).tolist()
 
@@ -881,6 +898,31 @@ class TestSweep:
             "ok", "failed", "ok"]
         assert err == ("error: c1=0.1 c2=0.01 c3=10000.0: NumericalDivergenceError: "
                        "numerical overflow at iteration 9\n")
+
+    @pytest.mark.parametrize("flags", [[], ["--stratified"]], ids=["plain", "stratified"])
+    def test_medians_match_cv_of_each_cell(self, tmp_path, flags):
+        # Overlapping classes, so the fold medians fall below 1.0 and differ by cell.
+        path = tmp_path / "overlap.svm"
+        path.write_text(serialize_svmlight(make_gaussian_dataset(seed=5, n=40, d=3,
+                                                                 separation=0.4)))
+        common = ["--data", str(path), "--k", "4", "--iters", "10", "--dict-size", "4",
+                  "--seed", "9", "--jobs", "1", *flags]
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", *common, "--c1-grid", "0.01,1.0", "--c2-grid", "0.01",
+                     "--c3-grid", "0.5,2.0", "--out", str(out)]) == 0
+        rows = [row.split(",") for row in out.read_text().strip().split("\n")[1:]]
+        medians = []
+        for c1, c2, c3, *values, status in rows:
+            assert status == "ok"
+            report = tmp_path / "cv.json"
+            assert main(["cv", *common, "--c1", c1, "--c2", c2, "--c3", c3,
+                         "--out", str(report)]) == 0
+            summary = json.loads(report.read_text())["summary"]
+            expected = [summary[name]["median"] for name in ("f1", "prbep", "auc")]
+            assert values == [repr(median) for median in expected]
+            medians.append(expected)
+        assert max(max(cell) for cell in medians) < 1.0
+        assert len(set(map(tuple, medians))) == len(medians)
 
     @pytest.mark.parametrize("k, message", [
         ("1", "k must be >= 2, got 1"), ("61", "k=61 exceeds the number of points n=60")])

@@ -507,7 +507,7 @@ class TestKfoldSplit:
 
     def test_stratified_balanced(self):
         labels = np.array([1] * 10 + [-1] * 10)
-        plan = kfold_split(20, 10, seed=2, stratified=True, labels=labels)
+        plan = kfold_split(20, 10, seed=2, labels=labels)
         for fold in range(10):
             members = np.flatnonzero(plan == fold)
             assert members.size == 2
@@ -517,7 +517,7 @@ class TestKfoldSplit:
     def test_stratified_sizes_within_one(self):
         rng = np.random.default_rng(9)
         labels = rng.choice([-1, 1], size=23)
-        plan = kfold_split(23, 4, seed=3, stratified=True, labels=labels)
+        plan = kfold_split(23, 4, seed=3, labels=labels)
         sizes = np.bincount(plan, minlength=4)
         assert sizes.max() - sizes.min() <= 1
 
@@ -556,7 +556,7 @@ class TestKfoldSplit:
             rng.shuffle(order)
             for position, index in enumerate(order):
                 expected[index] = position % k
-        folds = kfold_split(n, k, seed, stratified=stratified, labels=labels)
+        folds = kfold_split(n, k, seed, labels=labels if stratified else None)
         assert folds.dtype == np.int64
         np.testing.assert_array_equal(folds, expected)
 
@@ -565,7 +565,7 @@ class TestKfoldSplit:
         # changes shuffle changes every cv partition and fails here first.
         assert kfold_split(12, 3, 5).tolist() == [1, 1, 1, 2, 1, 0, 0, 0, 2, 2, 0, 2]
         labels = np.array([1] * 5 + [-1] * 7)
-        assert kfold_split(12, 3, 5, stratified=True, labels=labels).tolist() == [
+        assert kfold_split(12, 3, 5, labels=labels).tolist() == [
             0, 1, 0, 2, 1, 2, 1, 2, 0, 0, 1, 2]
 
     def test_seed_is_a_non_negative_integer(self):
@@ -580,5 +580,3 @@ class TestKfoldSplit:
             kfold_split(3, 4, seed=0)
         with pytest.raises(ValueError, match=">= 2"):
             kfold_split(10, 1, seed=0)
-        with pytest.raises(ValueError, match="requires labels"):
-            kfold_split(10, 2, seed=0, stratified=True)
