@@ -129,7 +129,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         writer.writerow(["iteration"] + [f.name for f in fields(TraceEntry)])
         for i, entry in enumerate(model.trace):
             writer.writerow([i] + [repr(value) for value in astuple(entry)])
-        Path(args.trace).write_text(buffer.getvalue(), encoding="utf-8")
+        _write_text(args.trace, (buffer.getvalue(),))
     return 0
 
 
@@ -198,20 +198,16 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _cv_plan(dataset: Dataset, config: TrainConfig, k: int,
-             stratified: bool) -> tuple[TrainConfig, np.ndarray]:
-    """The config every fold shares and the fold number of each point of ``dataset``."""
-    # Resolve the dictionary size against the full dataset so the echoed
-    # config is self-describing and every fold trains the same model shape.
-    config = replace(config, dict_size=config.resolved_dict_size(dataset.n, dataset.d))
-    return config, kfold_split(dataset.n, k, config.seed, dataset.labels if stratified else None)
-
-
 def _run_fold(dataset: Dataset | None, folds: np.ndarray | None, fold: int,
-              config: TrainConfig) -> dict:
-    """The report row of fold ``fold``; a fold worker passes no dataset and folds."""
+              config: TrainConfig, cell: dict) -> dict:
+    """The report row of fold ``fold`` trained with the trade-off weights ``cell``.
+
+    A fold worker passes no dataset and folds.  A cell that ``TrainConfig``
+    rejects raises here, as a fold that fails in training does.
+    """
     if dataset is None:
         dataset, folds = _worker_folds
+    config = replace(config, seed=config.seed + fold, **cell)
     test_idx = np.flatnonzero(folds == fold)
     train_idx = np.flatnonzero(folds != fold)
     test_features, test_labels = dataset.features[test_idx], dataset.labels[test_idx]
@@ -231,17 +227,16 @@ def _run_fold(dataset: Dataset | None, folds: np.ndarray | None, fold: int,
     except DegenerateClassError as exc:
         row["status"] = "skipped"
         row["note"] = f"training skipped: {exc}"
-        row["seconds"] = time.perf_counter() - started
-        return row
-    scores, predicted = _score(model, test_features)
-    skipped = []
-    for name, measure in MEASURES.items():
-        try:
-            row[name] = float(measure(test_labels, predicted, scores))
-        except DegenerateClassError:
-            skipped.append(name)
-    if skipped:
-        row["note"] = f"skipped {', '.join(skipped)}: degenerate class in test fold"
+    else:
+        scores, predicted = _score(model, test_features)
+        skipped = []
+        for name, measure in MEASURES.items():
+            try:
+                row[name] = float(measure(test_labels, predicted, scores))
+            except DegenerateClassError:
+                skipped.append(name)
+        if skipped:
+            row["note"] = f"skipped {', '.join(skipped)}: degenerate class in test fold"
     row["seconds"] = time.perf_counter() - started
     return row
 
@@ -255,22 +250,26 @@ def _init_fold_worker(dataset: Dataset, folds: np.ndarray) -> None:
     _worker_folds = (dataset, folds)
 
 
-def _fold_rows(dataset: Dataset, folds: np.ndarray, configs: list[TrainConfig],
-               jobs: int | None) -> list[list[dict] | Exception]:
-    """The fold rows of each config, in fold order, or the exception of its lowest failing fold.
+def _fold_rows(dataset: Dataset, config: TrainConfig, k: int, stratified: bool, cells: list[dict],
+               jobs: int | None) -> tuple[TrainConfig, list[list[dict] | Exception]]:
+    """The shared config, and each cell's fold rows or the exception of its lowest failing fold.
 
-    Trains every ``(fold, config)`` task, fold f with seed ``config.seed + f``,
-    on ``min(jobs, tasks)`` worker processes; with one, in this process.
-    Every task trains, also after a failure.  ``jobs=None`` means the CPUs
-    this process may use, but no more than one worker per two tasks:
+    The dictionary size is resolved against the full dataset, so every fold
+    trains the model shape the config echoes, and the folds are
+    ``kfold_split(dataset.n, k, config.seed)``, given the labels when
+    ``stratified``.  A cell is a dict of trade-off weights: its fold f trains
+    with ``replace(config, seed=config.seed + f, **cell)``, so a cell that
+    ``TrainConfig`` rejects fails its folds.  Rows come in fold order.  Every
+    ``(cell, fold)`` task trains, also after a failure, on ``min(jobs, tasks)``
+    worker processes; with one, in this process.  ``jobs=None`` means the
+    CPUs this process may use, but no more than one worker per two tasks:
     starting a worker (fork, pool set-up and faulting in its own memory)
     costs about as much as training one small fold, so each worker should
-    have at least two to train.  Workers receive ``dataset`` and ``folds``
-    once, at start-up.
+    have at least two to train.  Workers get ``dataset`` and the folds once.
     """
-    k = int(folds.max()) + 1
-    tasks = [(fold, replace(config, seed=config.seed + fold))
-             for config in configs for fold in range(k)]
+    config = replace(config, dict_size=config.resolved_dict_size(dataset.n, dataset.d))
+    folds = kfold_split(dataset.n, k, config.seed, dataset.labels if stratified else None)
+    tasks = [(fold, config, cell) for cell in cells for fold in range(k)]
     if jobs is None:
         jobs = max(1, min(_available_cpus(), len(tasks) // 2))
     if jobs < 1:
@@ -299,7 +298,8 @@ def _fold_rows(dataset: Dataset, folds: np.ndarray, configs: list[TrainConfig],
         finally:
             pool.shutdown(cancel_futures=True)
     groups = (outcomes[start:start + k] for start in range(0, len(outcomes), k))
-    return [next((row for row in rows if isinstance(row, Exception)), rows) for rows in groups]
+    return config, [next((row for row in rows if isinstance(row, Exception)), rows)
+                    for rows in groups]
 
 
 def cross_validate(
@@ -312,21 +312,22 @@ def cross_validate(
 ) -> dict:
     """k-fold cross-validation report, deterministic for a fixed seed.
 
-    The folds are ``kfold_split(dataset.n, k, config.seed)``, given the
-    dataset's labels when ``stratified``.  Fold f trains on the other folds
-    with seed ``config.seed + f`` and is evaluated on its own points; the
-    summary gives each measure's five numbers over the folds that score it.
-    The folds run on ``min(jobs, k)`` worker processes; ``jobs`` defaults to
-    the number of CPUs this process may use, capped at ``k // 2`` so that
-    each worker trains at least two folds, and ``jobs=1`` trains them one
-    after another in this process.  The report does not depend on ``jobs``:
-    rows come back in fold order, and a failing fold raises the exception
-    of the lowest failing fold once every fold has trained.
+    The fold runner trains ``config`` as its one cell, ``{}``: the folds are
+    ``kfold_split(dataset.n, k, config.seed)``, given the dataset's labels
+    when ``stratified``, and fold f trains on the other folds with seed
+    ``config.seed + f`` and is evaluated on its own points; the summary
+    gives each measure's five numbers over the folds that score it.  The
+    folds run on ``min(jobs, k)`` worker processes; ``jobs`` defaults to the
+    number of CPUs this process may use, capped at ``k // 2`` so that each
+    worker trains at least two folds, and ``jobs=1`` trains them one after
+    another in this process.  The report does not depend on ``jobs``: rows
+    come back in fold order, and a failing fold raises the exception of the
+    lowest failing fold once every fold has trained.  The echoed config
+    carries the dictionary size resolved against the full dataset.
     ``include_timing=False`` nulls the wall-clock fields so two identical
     runs produce identical bytes.
     """
-    config, folds = _cv_plan(dataset, config, k, stratified)
-    (rows,) = _fold_rows(dataset, folds, [config], jobs)
+    config, (rows,) = _fold_rows(dataset, config, k, stratified, [{}], jobs)
     if isinstance(rows, Exception):
         raise rows
     if not include_timing:
@@ -373,23 +374,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     dataset = _load_dataset(args.data, args.format)
     grid = list(product(_parse_grid(args.c1_grid), _parse_grid(args.c2_grid),
                         _parse_grid(args.c3_grid)))
-    # The dictionary size and the folds depend on the seed, k and the data
-    # only, so every cell shares them.  A cell is its config, or the
-    # exception that rejected it.
-    config, folds = _cv_plan(dataset, config, args.k, args.stratified)
-    cells = []
-    for c1, c2, c3 in grid:
-        try:
-            cells.append(replace(config, c1=c1, c2=c2, c3=c3))
-        except ValueError as exc:
-            cells.append(exc)
-    configs = [cell for cell in cells if isinstance(cell, TrainConfig)]
-    results = iter(_fold_rows(dataset, folds, configs, args.jobs))
+    _, results = _fold_rows(dataset, config, args.k, args.stratified,
+                            [dict(c1=c1, c2=c2, c3=c3) for c1, c2, c3 in grid], args.jobs)
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(SWEEP_HEADER)
-    for (c1, c2, c3), cell in zip(grid, cells):
-        rows = cell if isinstance(cell, Exception) else next(results)
+    for (c1, c2, c3), rows in zip(grid, results):
         if isinstance(rows, Exception):
             print(f"error: c1={c1!r} c2={c2!r} c3={c3!r}: "
                   f"{type(rows).__name__}: {rows}", file=sys.stderr)

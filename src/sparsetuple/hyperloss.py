@@ -77,7 +77,7 @@ def predict(w, codes) -> np.ndarray:
     return np.where(q >= 0.0, 1, -1).astype(np.int64)
 
 
-def argmax_F_oracle(w, codes, y_true, kind: MeasureKind) -> ArgmaxResult:
+def argmax_F_oracle(w, codes, y_true, kind: MeasureKind | str) -> ArgmaxResult:
     """Count-parameterized exact maximizer of F.
 
     True positives are sorted by score ascending and true negatives by score
@@ -100,6 +100,7 @@ def argmax_F_oracle(w, codes, y_true, kind: MeasureKind) -> ArgmaxResult:
     tiny next to the loss (about 1e-17); the pair found may then differ
     from the first float maximum by a few ulp in value.
     """
+    kind = MeasureKind.parse(kind)
     q = point_scores(w, codes)
     y = as_label_array(y_true)
     n = y.size
@@ -167,7 +168,7 @@ def argmax_F_oracle(w, codes, y_true, kind: MeasureKind) -> ArgmaxResult:
     return ArgmaxResult(best_value, (representative,))
 
 
-def upper_bound(w, codes, y_true, kind: MeasureKind) -> float:
+def upper_bound(w, codes, y_true, kind: MeasureKind | str) -> float:
     """Upper bound of the tuple loss of :func:`predict`: the maximum of F.
 
     Public API: acceptance criterion 1 calls it.  ``fit`` never does: it

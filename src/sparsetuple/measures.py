@@ -54,7 +54,10 @@ class MeasureKind(Enum):
     AUC = "auc"
 
     @classmethod
-    def parse(cls, name: str) -> "MeasureKind":
+    def parse(cls, name: "str | MeasureKind") -> "MeasureKind":
+        """The member that ``name`` is or names, case and outer blanks ignored."""
+        if isinstance(name, cls):
+            return name
         try:
             return cls(str(name).strip().lower())
         except ValueError:
@@ -102,13 +105,14 @@ def require_both_classes(kind: MeasureKind, n_pos: int, n_neg: int) -> None:
         )
 
 
-def loss_grid(kind: MeasureKind, fn, fp, n_pos: int, n_neg: int) -> np.ndarray:
+def loss_grid(kind: MeasureKind | str, fn, fp, n_pos: int, n_neg: int) -> np.ndarray:
     """Tuple losses for arrays of (fn, fp) counts against a fixed truth.
 
     ``fn`` and ``fp`` broadcast against each other; the result has the
     broadcast shape.  Domain checks are the caller's job except for the
     class-presence requirements of AUC and PRBEP, which are enforced here.
     """
+    kind = MeasureKind.parse(kind)
     fn = np.asarray(fn, dtype=np.float64)
     fp = np.asarray(fp, dtype=np.float64)
     if kind is MeasureKind.F1:
@@ -122,16 +126,12 @@ def loss_grid(kind: MeasureKind, fn, fp, n_pos: int, n_neg: int) -> np.ndarray:
         wrong = fn * fp
         tied = fn * (n_neg - fp) + (n_pos - fn) * fp
         return (wrong + 0.5 * tied) / (n_pos * n_neg)
-    if kind is MeasureKind.PRBEP:
-        if not np.all(fn == fp):
-            raise UndefinedTupleLossError(
-                "PRBEP loss is undefined for tuples with fp != fn"
-            )
-        return fn / n_pos
-    raise ValueError(f"unknown measure kind {kind!r}")
+    if not np.all(fn == fp):  # PRBEP
+        raise UndefinedTupleLossError("PRBEP loss is undefined for tuples with fp != fn")
+    return fn / n_pos
 
 
-def tuple_loss(kind: MeasureKind, y_true, y_pred) -> float:
+def tuple_loss(kind: MeasureKind | str, y_true, y_pred) -> float:
     """Loss of a predicted label tuple against the truth, in [0, 1]."""
     counts = confusion_counts(y_true, y_pred)
     n_pos = counts.tp + counts.fn

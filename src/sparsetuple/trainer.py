@@ -83,8 +83,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.measure, MeasureKind):
-            object.__setattr__(self, "measure", MeasureKind.parse(self.measure))
+        object.__setattr__(self, "measure", MeasureKind.parse(self.measure))
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type.startswith("int") and value is not None and type(value) is not int:

@@ -212,6 +212,16 @@ class TestTrain:
         last = document["trace"][19]
         assert trace_rows[20] == ",".join(["19"] + [repr(last[name]) for name in names])
 
+    def test_trace_dash_writes_the_csv_to_stdout(self, data_file, tmp_path, capsys, monkeypatch):
+        data_path, _ = data_file
+        trace_path = tmp_path / "trace.csv"
+        assert main(train_flags(data_path, tmp_path / "a.json") + ["--trace", str(trace_path)]) == 0
+        assert capsys.readouterr().out == ""
+        monkeypatch.chdir(tmp_path)
+        assert main(train_flags(data_path, tmp_path / "b.json") + ["--trace", "-"]) == 0
+        assert capsys.readouterr().out == trace_path.read_bytes().decode("utf-8")
+        assert not (tmp_path / "-").exists()
+
     def test_rerun_is_byte_identical(self, data_file, tmp_path):
         data_path, _ = data_file
         first = tmp_path / "a.json"

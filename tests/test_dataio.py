@@ -489,6 +489,12 @@ class TestDataset:
         with pytest.raises(ValueError, match="finite"):
             Dataset(np.array([[np.nan]]), np.array([1]))
 
+    @pytest.mark.parametrize("features", [np.ones(3), np.ones((0, 2))], ids=["1-D", "no rows"])
+    def test_rejects_features_that_are_not_a_matrix_with_rows(self, features):
+        with pytest.raises(ValueError, match="features must be a matrix with n >= 1 rows and "
+                                             "d >= 1 columns"):
+            Dataset(features, np.array([1, -1, 1]))
+
     def test_rejects_label_mismatch(self):
         with pytest.raises(ValueError, match="length mismatch"):
             Dataset(np.ones((2, 2)), np.array([1]))
@@ -574,6 +580,10 @@ class TestKfoldSplit:
             kfold_split(10, 2, seed=-1)
         with pytest.raises(TypeError):
             kfold_split(10, 2, seed=3.0)
+
+    def test_labels_of_another_length_rejected(self):
+        with pytest.raises(ValueError, match="length mismatch: n=6 vs 5 labels"):
+            kfold_split(6, 2, seed=0, labels=[1, -1, 1, -1, 1])
 
     def test_errors(self):
         with pytest.raises(ValueError, match="exceeds"):

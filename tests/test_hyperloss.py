@@ -248,6 +248,11 @@ class TestOracle:
                 loss_grid(kind, 0, 0, 3, 0)
             assert str(oracle.value) == str(grid.value) == message
 
+    @pytest.mark.parametrize("n_labels", [3, 5])
+    def test_codes_and_labels_of_other_counts_rejected(self, n_labels):
+        with pytest.raises(ValueError, match=f"dimension mismatch: 4 points vs {n_labels} labels"):
+            argmax_F_oracle(np.ones(2), np.ones((2, 4)), ([1, -1] * 3)[:n_labels], MeasureKind.F1)
+
     def test_f1_allows_single_class(self):
         w = np.array([0.3])
         S = np.array([[1.0, -2.0, 0.5]])
@@ -356,6 +361,29 @@ class TestUpperBound:
         w = np.array([1.0])
         S = np.array([[1.0, 1.0]])
         assert upper_bound(w, S, [1, -1], MeasureKind.F1) == pytest.approx(7 / 3)
+
+
+class TestKindByName:
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_name_acts_as_the_member(self, kind):
+        rng = np.random.default_rng(53)
+        w, S = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, (3, 8))
+        y = np.array([1, -1] * 4)
+        flipped = y.copy()
+        flipped[:2] = -flipped[:2]  # one false negative and one false positive
+        assert upper_bound(w, S, y, kind.value) == upper_bound(w, S, y, kind)
+        assert tuple_loss(kind.value, y, flipped) == tuple_loss(kind, y, flipped)
+        assert loss_grid(kind.value, 1, 1, 4, 4) == loss_grid(kind, 1, 1, 4, 4)
+
+    def test_unknown_name_lists_the_valid_names(self):
+        y = np.array([1, -1, 1])
+        message = r"unknown measure 'mcc'; expected one of: f1, prbep, auc"
+        with pytest.raises(ValueError, match=message):
+            upper_bound(np.ones(1), np.ones((1, 3)), y, "mcc")
+        with pytest.raises(ValueError, match=message):
+            tuple_loss("mcc", y, y)
+        with pytest.raises(ValueError, match=message):
+            loss_grid("mcc", 0, 0, 2, 1)
 
 
 class TestLossGradients:

@@ -24,6 +24,10 @@ class TestMeasureKind:
         assert MeasureKind.parse(" prbep ") is MeasureKind.PRBEP
         assert MeasureKind.parse("auc") is MeasureKind.AUC
 
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_parse_returns_a_member_unchanged(self, kind):
+        assert MeasureKind.parse(kind) is kind
+
     def test_parse_rejects_unknown(self):
         with pytest.raises(ValueError, match="unknown measure"):
             MeasureKind.parse("mcc")

@@ -215,6 +215,15 @@ class TestSolveDictionary:
             residual = np.abs(lagrangian_gradient(X, S, alphas, D)).max()
             assert residual <= 1e-8
 
+    def test_column_counts_of_X_and_S_must_match(self):
+        with pytest.raises(ValueError, match=r"dimension mismatch: X \(2, 3\) vs S \(2, 4\)"):
+            solve_dictionary(np.ones((2, 3)), np.ones((2, 4)), np.ones(2))
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_one_multiplier_per_element(self, count):
+        with pytest.raises(ValueError, match="need one multiplier per dictionary element"):
+            solve_dictionary(np.ones((2, 3)), np.ones((2, 3)), np.ones(count))
+
     def test_singular_system(self):
         X = np.array([[1.0]])
         S = np.array([[0.0]])
@@ -362,6 +371,10 @@ class TestDualAscent:
 
 
 class TestDictionaryType:
+    def test_rejects_one_dimensional_elements(self):
+        with pytest.raises(ValueError, match="elements must be a d-by-m matrix"):
+            Dictionary(np.ones(3), 1.0, np.zeros(3))
+
     def test_validates_shapes(self):
         with pytest.raises(ValueError, match="one multiplier"):
             Dictionary(np.ones((2, 3)), 1.0, np.zeros(2))
