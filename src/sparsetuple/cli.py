@@ -115,7 +115,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     dataset = _load_dataset(args.data, args.format)
     model = fit(dataset, config)
-    Path(args.out).write_bytes(save_model(model))
+    _write_text(args.out, (save_model(model).decode("utf-8"),))
     missed = model.ascent_converged.count(False)
     if missed:
         elements = model.dictionary.elements
@@ -174,8 +174,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             f"misaligned files: {labels.size} predictions vs {truth.n} truth points"
         )
     names = MEASURES if args.measure is None else (args.measure,)
-    sys.stdout.write("".join(f"{name} {MEASURES[name](truth.labels, labels, scores)!r}\n"
-                             for name in names))
+    _write_text(None, [f"{name} {MEASURES[name](truth.labels, labels, scores)!r}\n"
+                       for name in names])  # a list: a failing measure leaves stdout empty
     return 0
 
 
@@ -414,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     train = sub.add_parser("train", parents=[data, fmt, config],
                            help="fit a model and write it to disk")
-    train.add_argument("--out", required=True, help="model file path")
+    train.add_argument("--out", required=True, help="model JSON ('-' for stdout)")
     train.add_argument("--trace", default=None, help="optional CSV of per-iteration objectives")
     train.set_defaults(func=_cmd_train)
 

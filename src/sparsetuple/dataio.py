@@ -123,12 +123,8 @@ def _text_lines(data):
 
 # Bytes of whole lines read and converted at a time: one block bounds the working memory.
 _BLOCK_BYTES = 1 << 14
-# A canonical block holds only ' :' pairs and newlines once the printable
-# ASCII bytes other than ' ', ':' and '#' are deleted.  Tokenized text holds
-# no other whitespace and no '#', so there every byte but ' ', ':' and
-# newline is deleted.
+# The bytes _pairs_up deletes: the printable ASCII bytes other than ' ', ':' and '#'.
 _PLAIN = bytes(sorted(set(range(0x21, 0x7F)) - set(b":#")))
-_NOT_SEPARATOR = bytes(sorted(set(range(256)) - set(b" :\n")))
 
 
 def _raise_first_error(numbers, text: str) -> None:
@@ -162,9 +158,9 @@ def _raise_first_error(numbers, text: str) -> None:
             previous = index
 
 
-def _pairs_up(block: bytes, ignored: bytes) -> bool:
-    """Whether ``block`` holds only ``' :'`` pairs and newlines once ``ignored`` is deleted."""
-    return not block.translate(None, ignored).replace(b" :", b"").strip(b"\n")
+def _pairs_up(block: bytes) -> bool:
+    """Whether ``block`` holds only ``' :'`` pairs and newlines once ``_PLAIN`` is deleted."""
+    return not block.translate(None, _PLAIN).replace(b" :", b"").strip(b"\n")
 
 
 def _tokenize(text: str, first: int) -> tuple[str, list]:
@@ -187,7 +183,7 @@ def _blocks(stream):
     first = 1
     while lines := stream.readlines(_BLOCK_BYTES):
         block = b"".join(lines)
-        if _pairs_up(block, _PLAIN) and b"\n\n" not in block and block[:1] != b"\n":
+        if _pairs_up(block) and b"\n\n" not in block and block[:1] != b"\n":
             yield block.rstrip(b"\n").decode("ascii"), range(first, first + len(lines))
         else:
             fault = None
@@ -197,8 +193,9 @@ def _blocks(stream):
                 fault, text = exc, b"".join(lines[:exc.line - first]).decode("utf-8")
             text, numbers = _tokenize(text, first)
             if numbers:
-                if not _pairs_up(text.encode("utf-8"), _NOT_SEPARATOR):
-                    _raise_first_error(numbers, text)  # a token without a colon, or with two
+                if not _pairs_up(text.encode("utf-8")):
+                    # A token without a colon or with two, or a non-ASCII or control byte.
+                    _raise_first_error(numbers, text)
                 yield text, numbers
             if fault:
                 raise fault

@@ -118,9 +118,7 @@ def loss_grid(kind: MeasureKind | str, fn, fp, n_pos: int, n_neg: int) -> np.nda
     if kind is MeasureKind.F1:
         tp = n_pos - fn
         denom = 2.0 * tp + fn + fp
-        with np.errstate(divide="ignore", invalid="ignore"):
-            loss = np.where(denom > 0, 1.0 - 2.0 * tp / np.where(denom > 0, denom, 1.0), 0.0)
-        return loss
+        return np.where(denom > 0, 1.0 - 2.0 * tp / np.where(denom > 0, denom, 1.0), 0.0)
     require_both_classes(kind, n_pos, n_neg)
     if kind is MeasureKind.AUC:
         wrong = fn * fp

@@ -411,11 +411,7 @@ def load_model(blob: bytes) -> Model:
     if flat.shape != (d * m,):
         raise ModelFormatError(f"dictionary has {flat.size} numbers, expected {d * m}")
     weights = _finite_numbers(document["weights"], "weights")
-    if weights.shape != (m,):
-        raise ModelFormatError(f"weights length {weights.size} does not match m={m}")
     alphas = _finite_numbers(document["alphas"], "alphas")
-    if alphas.shape != (m,):
-        raise ModelFormatError(f"alphas length {alphas.size} does not match m={m}")
     if not isinstance(document["trace"], list):
         raise ModelFormatError("trace must be a list")
     trace = []
@@ -424,8 +420,8 @@ def load_model(blob: bytes) -> Model:
             raise ModelFormatError(f"trace entry {i} must have keys {_TRACE_KEYS}")
         values = _finite_numbers([entry[key] for key in _TRACE_KEYS], f"trace entry {i}")
         trace.append(TraceEntry(*values.tolist()))
-    try:
-        dictionary = Dictionary(flat.reshape(d, m), config.norm_cap, alphas)
+    try:  # Model and Dictionary check the weights' and multipliers' lengths and signs
+        return Model(Dictionary(flat.reshape(d, m), config.norm_cap, alphas),
+                     weights, config, trace)
     except ValueError as exc:
-        raise ModelFormatError(f"invalid dictionary: {exc}") from None
-    return Model(dictionary, weights, config, tuple(trace))
+        raise ModelFormatError(f"invalid model: {exc}") from None

@@ -222,6 +222,15 @@ class TestTrain:
         assert capsys.readouterr().out == trace_path.read_bytes().decode("utf-8")
         assert not (tmp_path / "-").exists()
 
+    def test_out_dash_writes_the_model_to_stdout(self, data_file, tmp_path, capsys, monkeypatch):
+        data_path, _ = data_file
+        monkeypatch.chdir(tmp_path)
+        assert main(train_flags(data_path, "model.json")) == 0
+        assert capsys.readouterr().out == ""
+        assert main(train_flags(data_path, "-")) == 0
+        assert capsys.readouterr().out.encode("utf-8") == (tmp_path / "model.json").read_bytes()
+        assert not (tmp_path / "-").exists()
+
     def test_rerun_is_byte_identical(self, data_file, tmp_path):
         data_path, _ = data_file
         first = tmp_path / "a.json"
@@ -392,9 +401,12 @@ class TestPredict:
             (("d",), "three"),
             (("config", "iters"), 2.5),
             (("config", "bogus"), 1),
+            (("weights",), [0.5]),
+            (("alphas",), [0.5]),
+            (("alphas", 0), -1.0),
         ],
         ids=["dictionary-str", "weights-nan", "trace-list", "d-str", "iters-float",
-             "unknown-config-key"],
+             "unknown-config-key", "weights-short", "alphas-short", "alphas-negative"],
     )
     def test_malformed_model_number_exits_1(self, trained, tmp_path, capsys, path, value):
         data_path, _, model_path = trained
@@ -607,6 +619,14 @@ class TestEval:
         assert main(argv + ["--measure", measure]) == 0
         assert capsys.readouterr().out == next(
             line for line in lines if line.startswith(f"{measure} "))
+
+    def test_single_class_truth_exits_2_and_prints_no_measure(self, tmp_path, capsys):
+        # f1 is defined on one class, prbep is not: the f1 line must not be printed alone
+        truth, preds = self.write_files(tmp_path, [1, 1, 1], [0.9, 0.8, -0.3], [1, 1, -1])
+        assert main(["eval", "--predictions", str(preds), "--truth", str(truth)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: degenerate class")
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_score_exits_1_with_its_line(self, tmp_path, capsys, bad):

@@ -216,6 +216,9 @@ def _outcome(parse, text):
 @example("+1 1: 2:3")  # the separators pair up, but a value is empty
 @example("+1 0_3:1\n-1 +3:1 4:2\n+1 03:1")  # index forms int() accepts
 @example("+1 1:1 2:2 # note 1:2\n-1 1:3 2:4")  # no entry omitted, more colons than entries
+@example("+1 1:1\x00")  # a NUL inside a value
+@example("+1 1\x7f:1")  # a DEL inside an index
+@example("+1 1:\u0663\n-1 2:1")  # an Arabic-Indic digit as a value
 def test_block_parser_matches_per_token_reference(text):
     # Blocks of 8 bytes hold one line, or a few short ones.
     with pytest.MonkeyPatch.context() as patch:

@@ -562,7 +562,7 @@ class TestSerialization:
     def test_alphas_length_mismatch(self):
         document = json.loads(save_model(self.make_model()).decode())
         document["alphas"] = document["alphas"][:-1]
-        with pytest.raises(ModelFormatError, match="alphas length 3 does not match m=4"):
+        with pytest.raises(ModelFormatError, match="need one multiplier per dictionary element"):
             load_model(json.dumps(document).encode())
 
     def test_trace_entry_with_other_keys_rejected(self):
