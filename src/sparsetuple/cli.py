@@ -24,8 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import (Dataset, DatasetFormatError, kfold_split, parse_csv, parse_predictions,
-                     parse_svmlight)
+from .dataio import (Dataset, DatasetFormatError, fill_rows, kfold_split, parse_csv,
+                     parse_predictions, parse_svmlight, parse_svmlight_labels, svmlight_blocks)
 from .measures import (
     DegenerateClassError,
     MeasureKind,
@@ -60,7 +60,7 @@ MEASURES = {
 SWEEP_HEADER = ("c1", "c2", "c3", *(f"{name}_median" for name in MEASURES), "status")
 
 
-_LINES_PER_WRITE = 4096  # predictions formatted and written at a time
+_LINES_PER_WRITE = 1024  # predictions formatted and written at a time
 
 
 class _SizedReader(io.BufferedReader):
@@ -71,15 +71,19 @@ class _SizedReader(io.BufferedReader):
         return os.fstat(self.fileno()).st_size
 
 
-def _load_dataset(path: str, fmt: str = "auto", min_width: int = 0) -> Dataset:
-    """The dataset at ``path``, read as a stream; svmlight gets at least ``min_width`` columns.
+def _is_csv(path: str, fmt: str) -> bool:
+    return fmt == "csv" or (fmt == "auto" and path.endswith(".csv"))
+
+
+def _load_dataset(path: str, fmt: str = "auto") -> Dataset:
+    """The dataset at ``path``, read as a stream.
 
     svmlight is read twice, so a file that cannot seek (a pipe) is read into memory first.
     """
     with _SizedReader(io.FileIO(path)) as file:
-        if fmt == "csv" or (fmt == "auto" and path.endswith(".csv")):
+        if _is_csv(path, fmt):
             return parse_csv(file)
-        return parse_svmlight(file if file.seekable() else file.read(), min_width)
+        return parse_svmlight(file if file.seekable() else file.read())
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -133,26 +137,73 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _score(model: Model, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The score and the +1/-1 label that ``model`` gives each row of ``features``.
+def _direction(model: Model) -> np.ndarray:
+    """The d-vector ``v = P'w`` whose product with a point is the point's score.
 
-    A score is ``w . P x`` for the ridge projection ``P``, that is ``v . x``
-    with ``v = P'w``.  ``encode`` is linear, so the codes of the d unit
-    vectors are ``P`` itself: one m-by-d array, and no m-by-n codes.
+    A score is ``w . P x`` for the ridge projection ``P``.  ``encode`` is
+    linear, so the codes of the d unit vectors are ``P`` itself: one m-by-d
+    array, and no m-by-n codes.
     """
+    return model.weights @ encode(model.dictionary, np.eye(model.dictionary.d), model.config)
+
+
+def _row_scores(features: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The score ``v . x`` of each row ``x`` of ``features``.
+
+    einsum sums each row on its own, so a row's score does not depend on the
+    rows around it: a file scored block by block gets the whole matrix's scores.
+    """
+    return np.einsum("ij,j->i", features, v)
+
+
+def _labelled(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``scores`` and the +1/-1 label predict gives each, read as a one-entry code of unit weight."""
+    return scores, predict(np.ones(1), scores[np.newaxis])
+
+
+def _score(model: Model, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The score and the +1/-1 label that ``model`` gives each row of ``features``."""
     d = model.dictionary.d
     if features.shape[1] != d:
         raise ValueError(f"dimension mismatch: features {features.shape} vs dictionary with d={d}")
-    scores = features @ (model.weights @ encode(model.dictionary, np.eye(d), model.config))
-    # The labels predict gives these scores, each read as a one-entry code of unit weight.
-    return scores, predict(np.ones(1), scores[np.newaxis])
+    return _labelled(_row_scores(features, _direction(model)))
+
+
+def _score_svmlight(model: Model, file) -> tuple[np.ndarray, np.ndarray]:
+    """``_score`` of the svmlight rows of ``file``, read and scored a block at a time.
+
+    A block's rows are written into a block of d columns, so no n-by-d matrix
+    is built.  Faults come in the order ``_score`` of a parsed matrix meets
+    them: the file's own, then an index above d, then a failing ``encode``.
+    """
+    d = model.dictionary.d
+    failure = None
+    try:
+        v = _direction(model)
+    except ValueError as exc:
+        failure = exc
+    pieces, n, top = [], 0, 0
+    for labels, counts, indices, values, _ in svmlight_blocks(file):
+        n += len(labels)
+        top = max(top, int(indices.max(initial=0)))
+        if top <= d and failure is None:
+            block = np.zeros((len(labels), d))
+            fill_rows(block, counts, indices, values)
+            pieces.append(_row_scores(block, v))
+    if top > d:
+        raise ValueError(f"dimension mismatch: features ({n}, {top}) vs dictionary with d={d}")
+    if failure is not None:
+        raise failure
+    return _labelled(np.concatenate(pieces))
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
     model = load_model(Path(args.model).read_bytes())
-    # Columns that are zero on every line leave no svmlight entry.
-    dataset = _load_dataset(args.data, args.format, model.dictionary.d)
-    scores, labels = _score(model, dataset.features)
+    if _is_csv(args.data, args.format):
+        scores, labels = _score(model, _load_dataset(args.data, args.format).features)
+    else:
+        with open(args.data, "rb") as file:
+            scores, labels = _score_svmlight(model, file)
     _write_text(args.out, _prediction_lines(scores, labels))
     return 0
 
@@ -168,13 +219,17 @@ def _prediction_lines(scores: np.ndarray, labels: np.ndarray):
 def _cmd_eval(args: argparse.Namespace) -> int:
     with open(args.predictions, "rb") as file:
         scores, labels = parse_predictions(file)
-    truth = _load_dataset(args.truth, args.format)
-    if truth.n != labels.size:
+    if _is_csv(args.truth, args.format):
+        truth = _load_dataset(args.truth, args.format).labels
+    else:
+        with open(args.truth, "rb") as file:
+            truth = parse_svmlight_labels(file)
+    if truth.size != labels.size:
         raise ValueError(
-            f"misaligned files: {labels.size} predictions vs {truth.n} truth points"
+            f"misaligned files: {labels.size} predictions vs {truth.size} truth points"
         )
     names = MEASURES if args.measure is None else (args.measure,)
-    _write_text(None, [f"{name} {MEASURES[name](truth.labels, labels, scores)!r}\n"
+    _write_text(None, [f"{name} {MEASURES[name](truth, labels, scores)!r}\n"
                        for name in names])  # a list: a failing measure leaves stdout empty
     return 0
 

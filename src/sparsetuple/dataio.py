@@ -12,18 +12,22 @@ byte that is not UTF-8 included.  CSV and prediction lines end at LF, CRLF
 or CR; svmlight lines end at LF, and a CR there is whitespace.
 
 Each parser reads bytes, a str (encoded first) or a binary stream as a
-stream: CSV and predictions a line at a time, svmlight in two passes, so an
-svmlight stream must be seekable.
+stream: CSV and predictions a line at a time.  svmlight is read and
+converted in blocks of whole lines of about 16 KB by one generator,
+:func:`svmlight_blocks`, which yields each block's labels, entry counts,
+indices and values in one pass; test-time scoring and
+:func:`parse_svmlight_labels` use it alone, so they accept any stream.
+:func:`parse_svmlight` counts the entries first and then assembles the
+dense matrix from the same blocks, so its stream must be seekable.
 
 svmlight indices and values follow Python's ``int()`` and ``float()``
-syntax.  Input is read and converted in blocks of whole lines of about
-16 KB.  A canonical block, single-spaced ASCII ``label index:value ...``
+syntax.  A canonical block, single-spaced ASCII ``label index:value ...``
 lines with no tab, CR, ``#`` or blank line, is checked and split as a
 whole; any other block is tokenized a line at a time and re-joined in
-canonical form first.  Besides the dense matrix, parsing keeps each entry's
-column number in 1 or 2 bytes, under 16 bytes a line and under 1 KB a
-block, plus the working set of one block; when lines omit entries, their
-values wait to be scattered, 8 bytes an entry more.
+canonical form first.  Besides the dense matrix, ``parse_svmlight`` keeps
+each entry's column number in 1 or 2 bytes, under 16 bytes a line and
+under 1 KB a block, plus the working set of one block; when lines omit
+entries, their values wait to be scattered, 8 bytes an entry more.
 """
 
 from __future__ import annotations
@@ -44,6 +48,9 @@ __all__ = [
     "Dataset",
     "DatasetFormatError",
     "parse_svmlight",
+    "parse_svmlight_labels",
+    "svmlight_blocks",
+    "fill_rows",
     "serialize_svmlight",
     "parse_csv",
     "parse_predictions",
@@ -51,6 +58,7 @@ __all__ = [
 ]
 
 _LABEL_TOKENS = {"+1": 1, "1": 1, "-1": -1}
+_NO_FEATURES = "no feature indices seen; d must be >= 1"
 
 
 class DatasetFormatError(ValueError):
@@ -232,16 +240,41 @@ def _entry_line(counts: np.ndarray, at: int, numbers) -> int:
     return numbers[int(np.searchsorted(np.cumsum(counts), at, side="right"))]
 
 
-def parse_svmlight(data, min_width: int = 0) -> Dataset:
+def svmlight_blocks(data):
+    """Each block of svmlight text (bytes, a str or a binary stream), read in one pass.
+
+    Yields a block's labels (a list of +1/-1), the entries of each of its
+    rows, their indices and values in file order, and the line number of
+    each row.  The first fault in file order is raised when its block is
+    reached; input without a row raises "empty dataset" at its end.
+    """
+    empty = True
+    for text, numbers in _blocks(_stream(data)):
+        converted = _convert_block(text)
+        if converted is None:
+            _raise_first_error(numbers, text)
+        empty = False
+        yield (*converted, numbers)
+    if empty:
+        raise DatasetFormatError("empty dataset")
+
+
+def fill_rows(out: np.ndarray, counts: np.ndarray, indices: np.ndarray, values) -> None:
+    """Write a block's entries into ``out``, one row per row of the block."""
+    out[np.repeat(np.arange(counts.size), counts), indices - 1] = values
+
+
+def parse_svmlight(data) -> Dataset:
     """Parse svmlight text (UTF-8 bytes, a str, or a seekable binary stream) into a Dataset.
 
-    The matrix has ``max(largest index, min_width)`` columns: a column that is
+    The matrix has as many columns as the largest index: a column that is
     zero on every line leaves no entry.  A first pass counts the colons in
-    64 KB reads, and a second writes entry values, in file order, into one
-    buffer of that size (an entry holds one colon), which is the matrix when
-    no line omits an entry; otherwise they are scattered into a zero matrix
-    by the column numbers each block keeps.  An entry beyond the count, in a
-    file that grew between the passes, is reported at its line.
+    64 KB reads, and a second, :func:`svmlight_blocks`, writes entry values,
+    in file order, into one buffer of that size (an entry holds one colon),
+    which is the matrix when no line omits an entry; otherwise they are
+    scattered into a zero matrix by the column numbers each block keeps.  An
+    entry beyond the count, in a file that grew between the passes, is
+    reported at its line.
     """
     stream = _stream(data)
     colons = sum(chunk.count(b":") for chunk in iter(lambda: stream.read(1 << 16), b""))
@@ -249,11 +282,7 @@ def parse_svmlight(data, min_width: int = 0) -> Dataset:
     values = np.empty(colons, dtype=np.float64)
     labels, blocks = [], []
     total = top = top_line = 0  # entries so far; the largest index, and its first line
-    for text, numbers in _blocks(stream):
-        converted = _convert_block(text)
-        if converted is None:
-            _raise_first_error(numbers, text)
-        block_labels, counts, indices, block_values = converted
+    for block_labels, counts, indices, block_values, numbers in svmlight_blocks(stream):
         if total + block_values.size > colons:
             raise DatasetFormatError("the file grew while it was read: more entries than the "
                                      "first pass counted",
@@ -266,11 +295,9 @@ def parse_svmlight(data, min_width: int = 0) -> Dataset:
         total += block_values.size
         blocks.append((len(labels), counts, indices.astype(np.min_scalar_type(block_top))))
         labels += block_labels
-    if not labels:
-        raise DatasetFormatError("empty dataset")
-    n, d = len(labels), max(top, min_width)
+    n, d = len(labels), top
     if not d:
-        raise DatasetFormatError("no feature indices seen; d must be >= 1")
+        raise DatasetFormatError(_NO_FEATURES)
     if total == n * d:
         # A line holds at most as many entries as its largest index, so every
         # line holds d of them: columns 1..d, as the indices strictly increase.
@@ -283,11 +310,26 @@ def parse_svmlight(data, min_width: int = 0) -> Dataset:
                                      "too large to allocate", top_line) from None
         start = 0
         for row, counts, indices in blocks:
-            rows = np.repeat(np.arange(row, row + counts.size), counts)
-            features[rows, indices - 1] = values[start:start + indices.size]
+            fill_rows(features[row:row + counts.size], counts, indices,
+                      values[start:start + indices.size])
             start += indices.size
     del blocks, values  # before Dataset's checks allocate
     return Dataset(features, np.array(labels, dtype=np.int64))
+
+
+def parse_svmlight_labels(data) -> np.ndarray:
+    """The labels of svmlight text, read in one pass; faults as :func:`parse_svmlight` finds them.
+
+    Neither the matrix nor the entries are kept, so no matrix can be too
+    large and a growing file is read as far as it goes.
+    """
+    labels, entries = [], 0
+    for block_labels, counts, *_ in svmlight_blocks(data):
+        labels += block_labels
+        entries += int(counts.sum())
+    if not entries:
+        raise DatasetFormatError(_NO_FEATURES)
+    return np.array(labels, dtype=np.int64)
 
 
 def serialize_svmlight(dataset: Dataset) -> str:

@@ -1,13 +1,15 @@
 """Shared generators and independent oracles for the test suite."""
 
 import itertools
+import random
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sparsetuple import Dataset
-from sparsetuple.hyperloss import ArgmaxResult, point_scores
+from sparsetuple.hyperloss import (ArgmaxResult, argmax_F_oracle, flip_coefficients,
+                                   loss_gradient_w, point_scores)
 from sparsetuple.measures import MeasureKind, as_label_array, loss_grid
 
 ALL_KINDS = (MeasureKind.F1, MeasureKind.PRBEP, MeasureKind.AUC)
@@ -29,6 +31,40 @@ def make_gaussian_dataset(seed=12345, n=200, d=10, separation=1.5, n_pos=None) -
     labels = np.concatenate([np.ones(half, dtype=np.int64), -np.ones(n - half, dtype=np.int64)])
     perm = rng.permutation(n)
     return Dataset(features[perm], labels[perm])
+
+
+def lowrank_dataset(seed, n) -> Dataset:
+    """Points ``x = A z + noise`` in 200 dimensions around a 5-dimensional subspace.
+
+    ``A`` is 3 times the orthonormal basis from the QR of a fixed seed-0
+    normal draw, the same for every seed.  From ``default_rng(seed)``: each
+    label is +1 with probability 0.2, then ``z ~ N(0, I_5)`` with ``z_0``
+    shifted by the label, then unit normal noise.
+    """
+    basis, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(200, 5)))
+    rng = np.random.default_rng(seed)
+    labels = np.where(rng.random(n) < 0.2, 1, -1)
+    latent = rng.normal(size=(n, 5))
+    latent[:, 0] += labels
+    return Dataset(latent @ (3.0 * basis).T + rng.normal(size=(n, 200)), labels)
+
+
+def raw_feature_baseline(data: Dataset, config) -> np.ndarray:
+    """Weights trained on the raw features with the package's own bound (SVMperf-style).
+
+    Starts from ``random.Random(config.seed).uniform(+-0.01)`` weights, then
+    takes ``config.iters`` steps of the argmax oracle, the flip coefficients
+    and the weight gradient, with fit's ``c2``, ``c3``, ``eta`` and measure;
+    a point's score is ``w . x``.
+    """
+    rng = random.Random(config.seed)
+    weights = np.array([rng.uniform(-0.01, 0.01) for _ in range(data.d)])
+    X = data.features.T
+    for _ in range(config.iters):
+        result = argmax_F_oracle(weights, X, data.labels, config.measure)
+        coefficients = flip_coefficients(data.labels, result.maximizers, config.c3)
+        weights = weights - config.eta * loss_gradient_w(weights, X, coefficients, config.c2)
+    return weights
 
 
 def random_instance(rng, kind, n_max=12, m_max=4):

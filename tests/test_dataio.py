@@ -12,10 +12,13 @@ from sparsetuple import dataio
 from sparsetuple.dataio import (
     Dataset,
     DatasetFormatError,
+    fill_rows,
     kfold_split,
     parse_csv,
     parse_svmlight,
+    parse_svmlight_labels,
     serialize_svmlight,
+    svmlight_blocks,
 )
 
 from conftest import make_gaussian_dataset
@@ -61,13 +64,6 @@ class TestParseSvmlight:
             parse_svmlight("+1 1:")
         with pytest.raises(DatasetFormatError, match="malformed"):
             parse_svmlight("+1 one:2")
-
-    def test_min_width_adds_the_columns_no_entry_reaches(self):
-        ds = parse_svmlight("+1 1:1 2:0.5\n-1 1:-1 2:-0.5", min_width=4)
-        np.testing.assert_array_equal(ds.features, [[1, 0.5, 0, 0], [-1, -0.5, 0, 0]])
-        assert parse_svmlight("+1 2:1\n-1", min_width=1).d == 2
-        np.testing.assert_array_equal(parse_svmlight("+1\n-1", min_width=2).features,
-                                      np.zeros((2, 2)))
 
     def test_zero_based_index_rejected(self):
         with pytest.raises(DatasetFormatError, match=">= 1"):
@@ -239,6 +235,65 @@ def test_bytes_str_and_crlf_parse_alike(lines, block_bytes):
         outcomes = {_outcome(parse_svmlight, form) for form in (
             *forms, *(io.BufferedReader(io.BytesIO(form.encode())) for form in forms[::2]))}
     assert len(outcomes) == 1
+
+
+def _one_pass_outcome(text):
+    """What the one-pass readers make of ``text``, in the terms of ``_outcome(parse_svmlight)``.
+
+    The blocks' entries are written into a matrix as wide as their largest
+    index, and each block's line numbers must be those of its rows.
+    """
+    try:
+        blocks = list(svmlight_blocks(text))
+    except DatasetFormatError as exc:
+        with pytest.raises(DatasetFormatError) as info:
+            parse_svmlight_labels(text)
+        assert (str(info.value), info.value.line) == (str(exc), exc.line)
+        return type(exc), str(exc), exc.line
+    labels = np.array([label for block in blocks for label in block[0]], dtype=np.int64)
+    counts, indices, values = (np.concatenate([block[k] for block in blocks]) for k in (1, 2, 3))
+    assert [number for block in blocks for number in block[4]] == [
+        number for number, line in enumerate(text.split("\n"), start=1)
+        if line.split("#", 1)[0].split()]
+    d = int(indices.max(initial=0))
+    if not d:
+        with pytest.raises(DatasetFormatError, match="no feature indices seen") as info:
+            parse_svmlight_labels(text)
+        return type(info.value), str(info.value), info.value.line
+    np.testing.assert_array_equal(parse_svmlight_labels(text), labels)
+    features = np.zeros((labels.size, d))
+    fill_rows(features, counts, indices, values)
+    return features.tobytes(), labels.tobytes(), d
+
+
+@settings(max_examples=400, deadline=None)
+@given(_TEXT, st.sampled_from([8, dataio._BLOCK_BYTES]))
+@example("", 8)  # no line at all
+@example("+1\n# note\n-1", 8)  # rows without an entry
+@example("+1 1:1\n-1 1:x\n+1 0:1", 8)  # the first of two faults
+@example("+1 1:1\n-1 2:1\xe9", 8)  # a non-ASCII character in a value
+def test_one_pass_readers_match_parse_svmlight(text, block_bytes):
+    # The same labels and entries, or the same first fault.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dataio, "_BLOCK_BYTES", block_bytes)
+        assert _one_pass_outcome(text) == _outcome(parse_svmlight, text)
+
+
+def test_one_pass_readers_read_a_stream_that_cannot_seek():
+    class Pipe(io.BufferedReader):
+        def seekable(self):
+            return False
+
+        def seek(self, *args):
+            raise io.UnsupportedOperation("seek")
+
+    text = b"+1 1:1 3:2\n# note\n-1 2:0.5\n"
+    (labels, counts, indices, values, numbers), = svmlight_blocks(Pipe(io.BytesIO(text)))
+    assert (labels, numbers) == ([1, -1], [1, 3])
+    np.testing.assert_array_equal(counts, [2, 1])
+    np.testing.assert_array_equal(indices, [1, 3, 2])
+    np.testing.assert_array_equal(values, [1.0, 2.0, 0.5])
+    np.testing.assert_array_equal(parse_svmlight_labels(Pipe(io.BytesIO(text))), [1, -1])
 
 
 class _RewindChanges(io.BytesIO):
