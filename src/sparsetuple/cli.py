@@ -137,73 +137,57 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _direction(model: Model) -> np.ndarray:
-    """The d-vector ``v = P'w`` whose product with a point is the point's score.
+def _score(model: Model, blocks) -> tuple[np.ndarray, np.ndarray]:
+    """The score and the +1/-1 label that ``model`` gives each row of the n_b-by-d ``blocks``.
 
     A score is ``w . P x`` for the ridge projection ``P``.  ``encode`` is
-    linear, so the codes of the d unit vectors are ``P`` itself: one m-by-d
-    array, and no m-by-n codes.
+    linear, so the codes of the d unit vectors are ``P`` itself, and
+    ``v = P'w`` scores a row ``x`` as ``v . x``: one m-by-d array, and no
+    m-by-n codes.  einsum sums each row on its own, so a row's score does not
+    depend on the rows scored with it.  If ``encode`` fails, the blocks are
+    read to their end first, so a fault in reading them is raised before it.
     """
-    return model.weights @ encode(model.dictionary, np.eye(model.dictionary.d), model.config)
-
-
-def _row_scores(features: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The score ``v . x`` of each row ``x`` of ``features``.
-
-    einsum sums each row on its own, so a row's score does not depend on the
-    rows around it: a file scored block by block gets the whole matrix's scores.
-    """
-    return np.einsum("ij,j->i", features, v)
-
-
-def _labelled(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``scores`` and the +1/-1 label predict gives each, read as a one-entry code of unit weight."""
-    return scores, predict(np.ones(1), scores[np.newaxis])
-
-
-def _score(model: Model, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The score and the +1/-1 label that ``model`` gives each row of ``features``."""
-    d = model.dictionary.d
-    if features.shape[1] != d:
-        raise ValueError(f"dimension mismatch: features {features.shape} vs dictionary with d={d}")
-    return _labelled(_row_scores(features, _direction(model)))
-
-
-def _score_svmlight(model: Model, file) -> tuple[np.ndarray, np.ndarray]:
-    """``_score`` of the svmlight rows of ``file``, read and scored a block at a time.
-
-    A block's rows are written into a block of d columns, so no n-by-d matrix
-    is built.  Faults come in the order ``_score`` of a parsed matrix meets
-    them: the file's own, then an index above d, then a failing ``encode``.
-    """
-    d = model.dictionary.d
-    failure = None
     try:
-        v = _direction(model)
-    except ValueError as exc:
-        failure = exc
-    pieces, n, top = [], 0, 0
-    for labels, counts, indices, values, _ in svmlight_blocks(file):
-        n += len(labels)
-        top = max(top, int(indices.max(initial=0)))
-        if top <= d and failure is None:
-            block = np.zeros((len(labels), d))
-            fill_rows(block, counts, indices, values)
-            pieces.append(_row_scores(block, v))
+        v = model.weights @ encode(model.dictionary, np.eye(model.dictionary.d), model.config)
+    except ValueError:
+        for _ in blocks:
+            pass
+        raise
+    scores = np.concatenate([np.einsum("ij,j->i", block, v) for block in blocks])
+    return scores, predict(np.ones(1), scores[np.newaxis])  # a one-entry code of unit weight
+
+
+def _feature_blocks(path: str, fmt: str, d: int):
+    """The rows of the dataset at ``path`` as blocks of d columns, read in one pass.
+
+    CSV is parsed into its matrix, which is the one block.  svmlight rows are
+    written into a block of d columns as they are read, so no n-by-d matrix
+    is built; an index above d is reported once the whole file has parsed,
+    so the file's own faults come first.
+    """
+    if _is_csv(path, fmt):
+        features = _load_dataset(path, fmt).features
+        if features.shape[1] != d:
+            raise ValueError(f"dimension mismatch: features {features.shape} vs dictionary "
+                             f"with d={d}")
+        yield features
+        return
+    n = top = 0
+    with open(path, "rb") as file:
+        for labels, counts, indices, values, _ in svmlight_blocks(file):
+            n += len(labels)
+            top = max(top, int(indices.max(initial=0)))
+            if top <= d:
+                block = np.zeros((len(labels), d))
+                fill_rows(block, counts, indices, values)
+                yield block
     if top > d:
         raise ValueError(f"dimension mismatch: features ({n}, {top}) vs dictionary with d={d}")
-    if failure is not None:
-        raise failure
-    return _labelled(np.concatenate(pieces))
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
     model = load_model(Path(args.model).read_bytes())
-    if _is_csv(args.data, args.format):
-        scores, labels = _score(model, _load_dataset(args.data, args.format).features)
-    else:
-        with open(args.data, "rb") as file:
-            scores, labels = _score_svmlight(model, file)
+    scores, labels = _score(model, _feature_blocks(args.data, args.format, model.dictionary.d))
     _write_text(args.out, _prediction_lines(scores, labels))
     return 0
 
@@ -283,7 +267,7 @@ def _run_fold(dataset: Dataset | None, folds: np.ndarray | None, fold: int,
         row["status"] = "skipped"
         row["note"] = f"training skipped: {exc}"
     else:
-        scores, predicted = _score(model, test_features)
+        scores, predicted = _score(model, [test_features])
         skipped = []
         for name, measure in MEASURES.items():
             try:

@@ -58,7 +58,6 @@ __all__ = [
 ]
 
 _LABEL_TOKENS = {"+1": 1, "1": 1, "-1": -1}
-_NO_FEATURES = "no feature indices seen; d must be >= 1"
 
 
 class DatasetFormatError(ValueError):
@@ -297,7 +296,7 @@ def parse_svmlight(data) -> Dataset:
         labels += block_labels
     n, d = len(labels), top
     if not d:
-        raise DatasetFormatError(_NO_FEATURES)
+        raise DatasetFormatError("no feature indices seen; d must be >= 1")
     if total == n * d:
         # A line holds at most as many entries as its largest index, so every
         # line holds d of them: columns 1..d, as the indices strictly increase.
@@ -321,14 +320,13 @@ def parse_svmlight_labels(data) -> np.ndarray:
     """The labels of svmlight text, read in one pass; faults as :func:`parse_svmlight` finds them.
 
     Neither the matrix nor the entries are kept, so no matrix can be too
-    large and a growing file is read as far as it goes.
+    large, a growing file is read as far as it goes, and rows without an
+    entry are labelled rows, as ``predict`` scores them, not a dataset of
+    no columns.
     """
-    labels, entries = [], 0
-    for block_labels, counts, *_ in svmlight_blocks(data):
+    labels = []
+    for block_labels, *_ in svmlight_blocks(data):
         labels += block_labels
-        entries += int(counts.sum())
-    if not entries:
-        raise DatasetFormatError(_NO_FEATURES)
     return np.array(labels, dtype=np.int64)
 
 

@@ -16,7 +16,7 @@ from sparsetuple import dataio, sparse_coding
 from sparsetuple.cli import (
     _LINES_PER_WRITE, SWEEP_HEADER, _add_config_flags, _score, build_parser, cross_validate, main,
 )
-from sparsetuple.dataio import kfold_split, parse_svmlight, serialize_svmlight
+from sparsetuple.dataio import Dataset, kfold_split, parse_svmlight, serialize_svmlight
 from sparsetuple.hyperloss import point_scores, predict
 from sparsetuple.measures import auc_from_scores
 from sparsetuple.trainer import TrainConfig, encode, fit, load_model, save_model
@@ -407,18 +407,26 @@ class TestPredict:
 
     # D'D of this dictionary overflows, so encode may fail.
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_file_fault_is_reported_before_a_failing_encode(self, trained, tmp_path, capsys):
+    @pytest.mark.parametrize("name, text, code, message", [
+        ("bad.svm", "+1 1:1\n-1 1:x\n", 1, "line 2: malformed feature value in '1:x'"),
+        ("bad.csv", "label,a,b,c,d,e\n+1,1,0,0,0,0\n-1,x,0,0,0,0\n", 1,
+         "line 3: non-numeric feature cell 'x' in column 'a'"),
+        ("narrow.csv", "label,a,b\n+1,1,0.5\n-1,-1,-0.5\n", 2,
+         "dimension mismatch: features (2, 2) vs dictionary with d=5"),
+    ], ids=["svmlight", "csv", "csv-of-another-width"])
+    def test_file_fault_is_reported_before_a_failing_encode(self, trained, tmp_path, capsys,
+                                                            name, text, code, message):
         _, _, model_path = trained
         document = json.loads(model_path.read_text())
         document["dictionary"] = [1e200] * len(document["dictionary"])
         model = tmp_path / "huge.json"
         model.write_text(json.dumps(document))
-        data = tmp_path / "bad.svm"
-        data.write_text("+1 1:1\n-1 1:x\n")
+        data = tmp_path / name
+        data.write_text(text)
         rc = main(["predict", "--model", str(model), "--data", str(data),
                    "--out", str(tmp_path / "p.tsv")])
-        assert rc == 1
-        assert capsys.readouterr().err == "error: line 2: malformed feature value in '1:x'\n"
+        assert rc == code
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_csv_of_another_width_exits_2(self, trained, tmp_path, capsys):
         _, _, model_path = trained
@@ -443,6 +451,18 @@ class TestPredict:
                          "--out", str(out)]) == 0
             outputs.append(out.read_text())
         assert outputs[0] == outputs[1]
+
+    def test_rows_without_an_entry_are_predicted_and_evaluated(self, trained, tmp_path, capsys):
+        # Zero rows at the model's d: every score is 0.0, labelled +1.
+        _, _, model_path = trained
+        data, predictions = tmp_path / "blank.svm", tmp_path / "p.tsv"
+        data.write_text("+1\n-1\n")
+        assert main(["predict", "--model", str(model_path), "--data", str(data),
+                     "--out", str(predictions)]) == 0
+        assert predictions.read_text() == "0\t0.0\t+1\n1\t0.0\t+1\n"
+        capsys.readouterr()
+        assert main(["eval", "--predictions", str(predictions), "--truth", str(data)]) == 0
+        assert capsys.readouterr().out.startswith("f1 ")
 
     @pytest.mark.parametrize(
         "path, value",
@@ -547,6 +567,23 @@ class TestPredictStreams:
         assert not writer.is_alive()
         assert outputs[0] == outputs[1]
 
+    def test_csv_of_the_same_points_predicts_the_same_bytes(self, gate_model, tmp_path):
+        # The CSV matrix is scored as one block, the svmlight rows a block at a time.
+        model_path, text = gate_model
+        ds = parse_svmlight(text)
+        svmlight, csv = tmp_path / "heldout.svm", tmp_path / "heldout.csv"
+        svmlight.write_text(text)
+        csv.write_text("".join([",".join(["label", *(f"x{j}" for j in range(1, ds.d + 1))]) + "\n",
+                                *(",".join([f"{y:+d}", *map(repr, row)]) + "\n"
+                                  for y, row in zip(ds.labels.tolist(), ds.features.tolist()))]))
+        outputs = []
+        for data in (svmlight, csv):
+            out = tmp_path / f"{data.name}.tsv"
+            assert main(["predict", "--model", str(model_path), "--data", str(data),
+                         "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
     @pytest.mark.parametrize("block_bytes", [8, dataio._BLOCK_BYTES])
     def test_blocks_of_any_size_give_the_scores_of_the_whole_matrix(self, gate_model, tmp_path,
                                                                     monkeypatch, block_bytes):
@@ -555,7 +592,7 @@ class TestPredictStreams:
         data, out = tmp_path / "heldout.svm", tmp_path / "preds.tsv"
         data.write_text(text)
         scores, labels = _score(load_model(model_path.read_bytes()),
-                                parse_svmlight(text).features)
+                                [parse_svmlight(text).features])
         monkeypatch.setattr(dataio, "_BLOCK_BYTES", block_bytes)
         assert main(["predict", "--model", str(model_path), "--data", str(data),
                      "--out", str(out)]) == 0
@@ -571,7 +608,7 @@ class TestPredictStreams:
         data = tmp_path / "heldout.svm"
         data.write_text(serialize_svmlight(make_gaussian_dataset(seed=41, n=n, d=5)))
         scores, labels = _score(load_model(model_path.read_bytes()),
-                                parse_svmlight(data.read_bytes()).features)
+                                [parse_svmlight(data.read_bytes()).features])
         expected = "".join(f"{i}\t{s!r}\t{y:+d}\n"
                            for i, (s, y) in enumerate(zip(scores.tolist(), labels.tolist())))
         target = str(tmp_path / "preds.tsv") if out == "file" else "-"
@@ -621,7 +658,7 @@ class TestInputMemory:
         assert peak < self.n * self.d * 8 / 2
 
     def test_eval_peak_is_under_the_matrix(self, files):
-        # eval keeps only the truth labels; the predictions' scores are most of its peak.
+        # eval keeps only the truth labels; AUC's midranks set its peak.
         _, data, predictions = files
         peak = self.traced_peak(["eval", "--predictions", str(predictions), "--truth", str(data)])
         assert peak < self.n * self.d * 8
@@ -639,7 +676,7 @@ class TestScore:
         features = make_gaussian_dataset(seed=32, n=2000, d=6, separation=0.3).features
         codes = encode(model.dictionary, features, model.config)
         expected = point_scores(model.weights, codes)
-        scores, labels = _score(model, features)
+        scores, labels = _score(model, [features])
         np.testing.assert_allclose(scores, expected, rtol=0, atol=1e-15 * np.abs(expected).max())
         np.testing.assert_array_equal(labels, predict(model.weights, codes))
 
@@ -652,7 +689,7 @@ class TestScore:
         features = make_gaussian_dataset(seed=34, n=n, d=20).features
         tracemalloc.start()
         try:
-            _score(model, features)
+            _score(model, [features])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -663,7 +700,7 @@ class TestScore:
         train, held_out = make_gaussian_dataset(), make_gaussian_dataset(seed=99)
         aucs = [auc_from_scores(held_out.labels,
                                 _score(fit(train, TrainConfig(c1=0.0, seed=seed)),
-                                       held_out.features)[0])
+                                       [held_out.features])[0])
                 for seed in range(5)]
         assert min(aucs) >= 0.95, aucs
 
@@ -865,6 +902,38 @@ class TestCv:
         plan = kfold_split(ds.n, 5, seed=11, labels=ds.labels if stratified else None)
         for fold, row in enumerate(report["folds"]):
             assert row["test_indices"] == np.flatnonzero(plan == fold).tolist()
+
+    def test_fold_row_is_train_predict_eval_on_the_folds_split(self, tmp_path, capsys):
+        # A fold scores its test points as predict does, so the measures are
+        # equal, and none is 1.0, where different scores could agree.
+        ds = make_gaussian_dataset(seed=5, n=60, d=4, separation=0.3)
+        data, report_path = tmp_path / "data.svm", tmp_path / "report.json"
+        data.write_text(serialize_svmlight(ds))
+        assert main(["cv", "--data", str(data), "--k", "3", "--iters", "15", "--seed", "2",
+                     "--measure", "auc", "--omit-timing", "--out", str(report_path)]) == 0
+        report = json.loads(report_path.read_text())
+        for row in report["folds"]:
+            test = np.zeros(ds.n, dtype=bool)
+            test[row["test_indices"]] = True
+            paths = {}
+            for role, rows in (("train", ~test), ("test", test)):
+                paths[role] = tmp_path / f"{role}{row['fold']}.svm"
+                paths[role].write_text(serialize_svmlight(Dataset(ds.features[rows],
+                                                                  ds.labels[rows])))
+            model, predictions = tmp_path / "model.json", tmp_path / "p.tsv"
+            assert main(["train", "--data", str(paths["train"]), "--iters", "15",
+                         "--seed", str(row["seed"]), "--measure", "auc",
+                         "--dict-size", str(report["config"]["dict_size"]),
+                         "--out", str(model)]) == 0
+            assert main(["predict", "--model", str(model), "--data", str(paths["test"]),
+                         "--out", str(predictions)]) == 0
+            capsys.readouterr()
+            assert main(["eval", "--predictions", str(predictions),
+                         "--truth", str(paths["test"])]) == 0
+            measured = dict(line.split(" ") for line in capsys.readouterr().out.splitlines())
+            assert {name: float(value) for name, value in measured.items()} == {
+                name: row[name] for name in ("f1", "prbep", "auc")}
+            assert max(row["f1"], row["prbep"], row["auc"]) < 1.0
 
     def test_same_seed_byte_identical_with_omit_timing(self, data_file, tmp_path):
         data_path, _ = data_file

@@ -27,7 +27,7 @@ def test_dictionary_beats_the_raw_feature_baseline_on_low_rank_data():
     f1_gains, auc_gains = [], []
     for seed in range(1, 6):
         train, held_out = lowrank_dataset(seed, 500), lowrank_dataset(10_000 + seed, 2000)
-        scores, labels = _score(fit(train, config), held_out.features)
+        scores, labels = _score(fit(train, config), [held_out.features])
         baseline_scores = held_out.features @ raw_feature_baseline(train, config)
         baseline_labels = np.where(baseline_scores >= 0.0, 1, -1)
         f1_gains.append(tuple_loss(MeasureKind.F1, held_out.labels, baseline_labels)
